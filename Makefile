@@ -25,7 +25,7 @@ vet:
 # at full size on every CI pass, never satisfied from the test cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
-		./internal/core ./internal/engine ./internal/faults ./internal/online \
+		./internal/engine ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report
 	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictIntoSerial' \
 		./internal/engine ./internal/gp

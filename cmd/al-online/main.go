@@ -33,7 +33,6 @@ import (
 	"log"
 	"os"
 
-	"alamr/internal/core"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/obs"
@@ -94,16 +93,10 @@ func (o options) validate() error {
 	if o.wallLimit < 0 {
 		return fmt.Errorf("-walllimit must be non-negative, got %g", o.wallLimit)
 	}
-	if _, err := policyByName(o.policy); err != nil {
-		return err
-	}
-	return nil
-}
-
-// policyByName resolves a policy through the engine registry (which also
-// serves spec files), so flags and specs accept the same names.
-func policyByName(name string) (core.Policy, error) {
-	return engine.BuildPolicy(engine.PolicySpec{Name: name})
+	// The engine registry also serves spec files, so flags and specs accept
+	// the same policy names.
+	_, err := engine.BuildPolicy(engine.PolicySpec{Name: o.policy})
+	return err
 }
 
 func main() {
@@ -153,7 +146,7 @@ func main() {
 		}
 		res, err = online.RunSpec(spec, ds)
 	} else {
-		policy, _ := policyByName(o.policy)
+		policy, _ := engine.BuildPolicy(engine.PolicySpec{Name: o.policy})
 		sim := online.NewSimLab(online.SimLabConfig{RefNx: o.refNx, Seed: *seed})
 		var lab online.Lab = sim
 		injecting = o.pTransient > 0 || o.pCorrupt > 0 || o.rssLimit > 0 || o.wallLimit > 0

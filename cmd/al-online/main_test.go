@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"alamr/internal/engine"
 )
 
 func validOptions() options {
@@ -55,11 +57,11 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestPolicyByName(t *testing.T) {
 	for _, name := range []string{"randuniform", "uniform", "maxsigma", "minpred", "randgoodness", "goodness", "rgma", "RGMA"} {
-		if p, err := policyByName(name); err != nil || p == nil {
-			t.Errorf("policyByName(%q) = %v, %v", name, p, err)
+		if p, err := engine.BuildPolicy(engine.PolicySpec{Name: name}); err != nil || p == nil {
+			t.Errorf("BuildPolicy(%q) = %v, %v", name, p, err)
 		}
 	}
-	if _, err := policyByName("nope"); err == nil {
-		t.Error("policyByName accepted an unknown name")
+	if _, err := engine.BuildPolicy(engine.PolicySpec{Name: "nope"}); err == nil {
+		t.Error("BuildPolicy accepted an unknown name")
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"log"
 	"math/rand"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 )
 
 func main() {
@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	limit := core.PaperMemLimitMB(ds)
+	limit := engine.PaperMemLimitMB(ds)
 	fmt.Printf("phase 2 queue limit: %.3g MB per process\n", limit)
 	over := 0
 	for _, j := range ds.Jobs {
@@ -46,8 +46,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(p core.Policy) *core.Trajectory {
-		tr, err := core.RunTrajectory(ds, part, core.LoopConfig{
+	run := func(p engine.Policy) *engine.Trajectory {
+		tr, err := engine.RunReplay(ds, part, engine.LoopConfig{
 			Policy:        p,
 			MaxIterations: 80,
 			MemLimitMB:    limit,
@@ -59,10 +59,10 @@ func main() {
 		return tr
 	}
 
-	aware := run(core.RGMA{})
-	oblivious := run(core.RandGoodness{})
+	aware := run(engine.RGMA{})
+	oblivious := run(engine.RandGoodness{})
 
-	summarize := func(name string, tr *core.Trajectory) {
+	summarize := func(name string, tr *engine.Trajectory) {
 		n := tr.Iterations()
 		crashes := 0
 		for _, v := range tr.Violation {

@@ -18,8 +18,8 @@ import (
 	"os"
 	"strings"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 	"alamr/internal/obs"
 	"alamr/internal/report"
 )
@@ -28,7 +28,7 @@ func main() {
 	log.SetFlags(0)
 
 	// 1. Enable observability for the whole process. Every instrumented
-	//    package (core, gp, mat, faults, online) starts writing through its
+	//    package (engine, gp, mat, faults, online) starts writing through its
 	//    handles; with no Enable call all of that is a no-op.
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(obs.TracerConfig{RingSize: 1024})
@@ -53,10 +53,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := core.RunTrajectory(ds, part, core.LoopConfig{
-		Policy:        core.RGMA{},
+	tr, err := engine.RunReplay(ds, part, engine.LoopConfig{
+		Policy:        engine.RGMA{},
 		MaxIterations: 60,
-		MemLimitMB:    core.PaperMemLimitMB(ds),
+		MemLimitMB:    engine.PaperMemLimitMB(ds),
 		Seed:          1,
 	})
 	if err != nil {

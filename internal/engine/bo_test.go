@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Moved from core when the EI policy moved into the engine (PR 5): the
-// closed-form checks of the acquisition function's internals.
+// TestExpectedImprovementMath holds the closed-form checks of the
+// acquisition function's internals.
 func TestExpectedImprovementMath(t *testing.T) {
 	// Degenerate sigma: EI = max(target-mu, 0).
 	if got := expectedImprovement(1, 0.5, 0); got != 0.5 {

@@ -22,18 +22,16 @@ import (
 //
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
-// shards from a shared atomic cursor, scoring them serially
-// (PredictIntoSerial — the lanes *are* the parallelism) into its own slabs
-// and bounded heap, while a per-lane filler goroutine generates the next
-// claimed shard into the other half of a double-buffered slab so
-// CandidateSource.Fill cost overlaps scoring. The shortlist is independent
-// of scheduling at every worker count: the top-k under the strict total
-// order (rank desc, id asc) is a unique set, each candidate's scores are
-// computed in full by exactly one lane with a floating-point evaluation
-// order fixed by the shard layout alone, and the final merge sorts the
-// union of the lanes' heaps under that same order — so which lane scored
-// which shard cannot change the result. mat.SetWorkers(1) degrades to the
-// fully serial reference path.
+// shards from a shared atomic cursor, generating each claimed shard into
+// its own feature slab and scoring it serially (PredictIntoSerial — the
+// lanes *are* the parallelism) into its own bounded heap. The shortlist
+// is independent of scheduling at every worker count: the top-k under the
+// strict total order (rank desc, id asc) is a unique set, each
+// candidate's scores are computed in full by exactly one lane with a
+// floating-point evaluation order fixed by the shard layout alone, and the
+// final merge sorts the union of the lanes' heaps under that same order —
+// so which lane scored which shard cannot change the result.
+// mat.SetWorkers(1) degrades to the fully serial reference path.
 //
 // The optional approximate mode additionally prunes shards whose best
 // previously-observed rank cannot reach the current k-th best. For
@@ -57,8 +55,8 @@ import (
 // CandidateSource yields candidate feature rows on demand, so a pool can
 // exist without ever materializing m×d storage. Fill must be safe for
 // concurrent use with distinct dst buffers: the parallel Select calls it
-// from per-worker filler goroutines (both built-in sources are read-only
-// during Fill).
+// from every worker lane (both built-in sources are read-only during
+// Fill).
 type CandidateSource interface {
 	// Len is the total number of candidates.
 	Len() int
@@ -196,46 +194,15 @@ func (e streamEntry) better(o streamEntry) bool {
 	return e.id < o.id
 }
 
-// fillReq asks a worker lane's filler goroutine to generate rows [lo, hi)
-// into dst (one half of the lane's double-buffered slab).
-type fillReq struct {
-	lo, hi int
-	dst    *mat.Dense
-}
-
 // streamWorker is one scoring lane's private state, reused across Select
-// calls: a double-buffered feature slab (the second half allocated only
-// when prefetch runs), score buffers, a bounded partial heap, and the
-// lane's shard counters (aggregated into the obs totals after the merge).
+// calls: a one-shard feature slab, score buffers, a bounded partial heap,
+// and the lane's shard counters (aggregated into the obs totals after the
+// merge).
 type streamWorker struct {
-	xbuf                 [2]*mat.Dense
+	xbuf                 *mat.Dense
 	muC, sigC, muM, sigM []float64
 	heap                 []streamEntry
 	scored, pruned       int64
-
-	req  chan fillReq
-	done chan struct{}
-}
-
-// startFiller launches the lane's shard-generation goroutine. The protocol
-// allows one outstanding request: every req send is matched by one done
-// receive before the next send, so the capacity-1 channels never block the
-// filler.
-func (w *streamWorker) startFiller(src CandidateSource) {
-	w.req = make(chan fillReq, 1)
-	w.done = make(chan struct{}, 1)
-	go func(req chan fillReq, done chan struct{}) {
-		for r := range req {
-			src.Fill(r.lo, r.hi, r.dst)
-			done <- struct{}{}
-		}
-	}(w.req, w.done)
-}
-
-// stopFiller shuts the lane's filler down; all requests must be drained.
-func (w *streamWorker) stopFiller() {
-	close(w.req)
-	w.req, w.done = nil, nil
 }
 
 // kthBound is the shared monotone lower bound on the final k-th shortlist
@@ -404,30 +371,23 @@ func pushBounded(h []streamEntry, e streamEntry, k int) []streamEntry {
 	return h
 }
 
-// ensureWorkers sizes the lane pool to w, allocating each lane's slabs and
-// buffers once and reusing them across Select calls. The second slab half
-// exists only where prefetch runs (parallel lanes), keeping the serial
-// path's footprint at one shard.
-func (st *StreamState) ensureWorkers(w int, prefetch bool) {
+// ensureWorkers sizes the lane pool to w, allocating each lane's slab and
+// buffers once and reusing them across Select calls.
+func (st *StreamState) ensureWorkers(w int) {
 	shard := st.cfg.ShardSize
 	dim := st.src.Dim()
 	for len(st.workers) < w {
 		st.workers = append(st.workers, nil)
 	}
 	for i := 0; i < w; i++ {
-		sw := st.workers[i]
-		if sw == nil {
-			sw = &streamWorker{
+		if st.workers[i] == nil {
+			st.workers[i] = &streamWorker{
+				xbuf: mat.NewDense(shard, dim, nil),
 				muC:  make([]float64, shard),
 				sigC: make([]float64, shard),
 				muM:  make([]float64, shard),
 				sigM: make([]float64, shard),
 			}
-			sw.xbuf[0] = mat.NewDense(shard, dim, nil)
-			st.workers[i] = sw
-		}
-		if prefetch && sw.xbuf[1] == nil {
-			sw.xbuf[1] = mat.NewDense(shard, dim, nil)
 		}
 	}
 }
@@ -464,11 +424,11 @@ func (st *StreamState) scoreShard(w *streamWorker, s, lo, hi int, xs *mat.Dense,
 }
 
 // scoreLoop is one lane's Select body: claim shards off the shared cursor
-// (consuming prune decisions inline), generate, and score. threshold is
-// the deterministic non-monotone prune limit; useShared switches to the
-// in-call monotone bound. In parallel mode the lane's filler generates the
-// next claimed shard into the other slab half while this goroutine scores
-// the current one.
+// (consuming prune decisions inline), generate each into the lane's slab,
+// and score it. threshold is the deterministic non-monotone prune limit;
+// useShared switches to the in-call monotone bound. A lone lane (parallel
+// false) lets the model's own PredictInto fan out over the mat pool; in
+// parallel mode each lane predicts serially.
 func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kthBound, threshold float64, useShared, prune, parallel bool, nShards int) {
 	n := st.src.Len()
 	shard := st.cfg.ShardSize
@@ -496,46 +456,18 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kth
 			return s
 		}
 	}
-	view := func(buf, s int) (*mat.Dense, int, int) {
+	for s := claim(); s >= 0; s = claim() {
 		lo := s * shard
 		hi := lo + shard
 		if hi > n {
 			hi = n
 		}
-		xs := w.xbuf[buf]
+		xs := w.xbuf
 		if hi-lo != shard {
 			xs = mat.NewDense(hi-lo, dim, xs.RawData()[:(hi-lo)*dim])
 		}
-		return xs, lo, hi
-	}
-	if !parallel {
-		// Serial reference path: fill and score in place, letting the
-		// model's own PredictInto fan out over the mat pool if it can.
-		for s := claim(); s >= 0; s = claim() {
-			xs, lo, hi := view(0, s)
-			st.src.Fill(lo, hi, xs)
-			st.scoreShard(w, s, lo, hi, xs, bound, useShared, false)
-		}
-		return
-	}
-	w.startFiller(st.src)
-	defer w.stopFiller()
-	cur := claim()
-	if cur < 0 {
-		return
-	}
-	buf := 0
-	xs, lo, hi := view(buf, cur)
-	w.req <- fillReq{lo: lo, hi: hi, dst: xs}
-	for cur >= 0 {
-		<-w.done // the current shard's slab is ready
-		curXS, curLo, curHi, curS := xs, lo, hi, cur
-		if cur = claim(); cur >= 0 {
-			buf = 1 - buf
-			xs, lo, hi = view(buf, cur)
-			w.req <- fillReq{lo: lo, hi: hi, dst: xs}
-		}
-		st.scoreShard(w, curS, curLo, curHi, curXS, bound, useShared, true)
+		st.src.Fill(lo, hi, xs)
+		st.scoreShard(w, s, lo, hi, xs, bound, useShared, parallel)
 	}
 }
 
@@ -569,7 +501,7 @@ func (st *StreamState) Select() (*Candidates, []int) {
 	if w < 1 {
 		w = 1
 	}
-	st.ensureWorkers(w, w > 1)
+	st.ensureWorkers(w)
 	for _, sw := range st.workers[:w] {
 		sw.heap = sw.heap[:0]
 		sw.scored, sw.pruned = 0, 0

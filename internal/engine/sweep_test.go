@@ -14,7 +14,7 @@ import (
 )
 
 // synthDS builds a small synthetic dataset with smooth cost/memory response
-// surfaces (the engine-package twin of the core test helper).
+// surfaces plus mild log-normal noise, so GPR can actually learn them.
 func synthDS(n int, seed int64) *dataset.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	combos := dataset.AllCombos()

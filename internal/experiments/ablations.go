@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"alamr/internal/core"
+	"alamr/internal/engine"
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
 	"alamr/internal/report"
@@ -31,7 +31,7 @@ func KernelAblation(opts Options) (*AblationResult, error) {
 		"Matern3/2": kernel.NewMatern(1.5, 0.5, 1),
 		"Matern5/2": kernel.NewMatern(2.5, 0.5, 1),
 	}
-	return runVariants(opts, "kernel ablation", variants, func(tpl *core.LoopConfig, k kernel.Kernel) {
+	return runVariants(opts, "kernel ablation", variants, func(tpl *engine.LoopConfig, k kernel.Kernel) {
 		tpl.Kernel = k
 	})
 }
@@ -47,18 +47,7 @@ func Log2PAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	for _, name := range sortedKeys(variants) {
 		opt := variants[name]
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
-			NTest:      opts.NTest,
-			Partitions: opts.Partitions,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed + 5,
-			Template: core.LoopConfig{
-				MaxIterations: opts.MaxIterations,
-				HyperoptEvery: opts.HyperoptEvery,
-				Log2P:         opt,
-			},
-		})
+		groups, err := runBatch(opts, opts.Seed+5, ablationSpec(opts, engine.RandGoodness{}), engine.LoopConfig{Log2P: opt})
 		if err != nil {
 			return nil, err
 		}
@@ -80,17 +69,7 @@ func GoodnessBaseAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	for _, base := range []float64{2, 10, 100} {
 		name := fmt.Sprintf("base=%g", base)
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{Base: base}, NInit: scaleNInit(opts.Dataset, 50)}},
-			NTest:      opts.NTest,
-			Partitions: opts.Partitions,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed + 6,
-			Template: core.LoopConfig{
-				MaxIterations: opts.MaxIterations,
-				HyperoptEvery: opts.HyperoptEvery,
-			},
-		})
+		groups, err := runBatch(opts, opts.Seed+6, ablationSpec(opts, engine.RandGoodness{Base: base}), engine.LoopConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -114,18 +93,7 @@ func MemLimitSensitivity(opts Options) (map[string]float64, error) {
 	tb := &report.Table{Header: []string{"L_mem quantile", "L_mem (MB)", "median final CR", "median iterations", "early stops"}}
 	for _, q := range []float64{0.5, 0.75, 0.9, 0.97} {
 		limit := stats.Quantile(mem, q)
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RGMA{}, NInit: scaleNInit(opts.Dataset, 50)}},
-			NTest:      opts.NTest,
-			Partitions: opts.Partitions,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed + 7,
-			Template: core.LoopConfig{
-				MaxIterations: opts.MaxIterations,
-				HyperoptEvery: opts.HyperoptEvery,
-				MemLimitMB:    limit,
-			},
-		})
+		groups, err := runBatch(opts, opts.Seed+7, ablationSpec(opts, engine.RGMA{}), engine.LoopConfig{MemLimitMB: limit})
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +106,7 @@ func MemLimitSensitivity(opts Options) (map[string]float64, error) {
 					finals[i] = tr.CumRegret[n-1]
 				}
 				iters[i] = float64(tr.Iterations())
-				if tr.Reason == core.StopMemoryLimit {
+				if tr.Reason == engine.StopMemoryLimit {
 					early++
 				}
 			}
@@ -161,17 +129,8 @@ func HyperoptCadenceAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	for _, every := range []int{1, 5, 10, 25} {
 		name := fmt.Sprintf("hyperopt-every=%d", every)
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
-			NTest:      opts.NTest,
-			Partitions: opts.Partitions,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed + 8,
-			Template: core.LoopConfig{
-				MaxIterations: opts.MaxIterations,
-				HyperoptEvery: every,
-			},
-		})
+		opts.HyperoptEvery = every
+		groups, err := runBatch(opts, opts.Seed+8, ablationSpec(opts, engine.RandGoodness{}), engine.LoopConfig{})
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +142,7 @@ func HyperoptCadenceAblation(opts Options) (*AblationResult, error) {
 	return res, tb.Write(opts.Out)
 }
 
-func runVariants(opts Options, title string, variants map[string]kernel.Kernel, apply func(*core.LoopConfig, kernel.Kernel)) (*AblationResult, error) {
+func runVariants(opts Options, title string, variants map[string]kernel.Kernel, apply func(*engine.LoopConfig, kernel.Kernel)) (*AblationResult, error) {
 	res := &AblationResult{FinalCostRMSE: map[string]float64{}, FinalCumCost: map[string]float64{}}
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	names := make([]string, 0, len(variants))
@@ -192,19 +151,9 @@ func runVariants(opts Options, title string, variants map[string]kernel.Kernel, 
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		tpl := core.LoopConfig{
-			MaxIterations: opts.MaxIterations,
-			HyperoptEvery: opts.HyperoptEvery,
-		}
+		var tpl engine.LoopConfig
 		apply(&tpl, variants[name])
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
-			NTest:      opts.NTest,
-			Partitions: opts.Partitions,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed + 4,
-			Template:   tpl,
-		})
+		groups, err := runBatch(opts, opts.Seed+4, ablationSpec(opts, engine.RandGoodness{}), tpl)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +165,7 @@ func runVariants(opts Options, title string, variants map[string]kernel.Kernel, 
 	return res, tb.Write(opts.Out)
 }
 
-func recordVariant(res *AblationResult, tb *report.Table, name string, trs []*core.Trajectory) {
+func recordVariant(res *AblationResult, tb *report.Table, name string, trs []*engine.Trajectory) {
 	finalsR := make([]float64, 0, len(trs))
 	finalsC := make([]float64, 0, len(trs))
 	for _, tr := range trs {
@@ -229,6 +178,12 @@ func recordVariant(res *AblationResult, tb *report.Table, name string, trs []*co
 	res.FinalCostRMSE[name] = mr
 	res.FinalCumCost[name] = mc
 	tb.Add(name, mr, mc)
+}
+
+// ablationSpec is the single configuration every ablation varies: one
+// policy at the paper's n_init=50 (scaled to the dataset).
+func ablationSpec(opts Options, p engine.Policy) []batchSpec {
+	return []batchSpec{{Policy: p, NInit: scaleNInit(opts.Dataset, 50)}}
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -264,18 +219,7 @@ func SurrogateAblation(opts Options) (*AblationResult, error) {
 		}},
 	}
 	for _, v := range variants {
-		groups, err := core.RunBatch(opts.Dataset, core.BatchConfig{
-			Specs:      []core.BatchSpec{{Policy: core.RandGoodness{}, NInit: scaleNInit(opts.Dataset, 50)}},
-			NTest:      opts.NTest,
-			Partitions: opts.Partitions,
-			Workers:    opts.Workers,
-			Seed:       opts.Seed + 10,
-			Template: core.LoopConfig{
-				MaxIterations: opts.MaxIterations,
-				HyperoptEvery: opts.HyperoptEvery,
-				NewModel:      v.model,
-			},
-		})
+		groups, err := runBatch(opts, opts.Seed+10, ablationSpec(opts, engine.RandGoodness{}), engine.LoopConfig{NewModel: v.model})
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/online"
@@ -50,12 +49,12 @@ func OnlineStudy(opts Options, experimentsPerRun, repetitions int) ([]OnlineStud
 	if repetitions <= 0 {
 		repetitions = 3
 	}
-	policies := []core.Policy{core.RandUniform{}, core.RandGoodness{}, core.RGMA{}}
+	policies := []engine.Policy{engine.RandUniform{}, engine.RandGoodness{}, engine.RGMA{}}
 
 	// One lab per study: reference solutions are shared across repetitions
 	// and policies, exactly as a real campaign would reuse prior physics.
 	lab := online.NewSimLab(online.SimLabConfig{RefNx: 48, RefTEnd: 0.1, RefSnaps: 4, Seed: opts.Seed})
-	memLimit := core.PaperMemLimitMB(opts.Dataset)
+	memLimit := engine.PaperMemLimitMB(opts.Dataset)
 
 	var items []engine.SweepItem
 	for pi, p := range policies {

@@ -371,50 +371,3 @@ func TestStdBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkFit100(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	n := 100
-	x := mat.NewDense(n, 5, nil)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 5; j++ {
-			x.Set(i, j, rng.Float64())
-		}
-		y[i] = rng.NormFloat64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := New(kernel.NewRBF(1, 1), Config{Noise: 0.1, Restarts: -1, MaxIter: 20, Seed: 1})
-		if err := g.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPredict100x200(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	n := 100
-	x := mat.NewDense(n, 5, nil)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < 5; j++ {
-			x.Set(i, j, rng.Float64())
-		}
-		y[i] = rng.NormFloat64()
-	}
-	g := New(kernel.NewRBF(1, 1), Config{Noise: 0.1, NoOptimize: true})
-	if err := g.Fit(x, y); err != nil {
-		b.Fatal(err)
-	}
-	xs := mat.NewDense(200, 5, nil)
-	for i := 0; i < 200; i++ {
-		for j := 0; j < 5; j++ {
-			xs.Set(i, j, rng.Float64())
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Predict(xs)
-	}
-}

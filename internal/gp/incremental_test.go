@@ -151,35 +151,3 @@ func TestTrainingData(t *testing.T) {
 		t.Fatalf("uncentred targets wrong: %v", yt)
 	}
 }
-
-func BenchmarkAppend200(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	build := func() *GP {
-		g := New(kernel.NewRBF(1, 1), Config{Noise: 0.1, NoOptimize: true})
-		x := mat.NewDense(200, 5, nil)
-		y := make([]float64, 200)
-		for i := 0; i < 200; i++ {
-			for j := 0; j < 5; j++ {
-				x.Set(i, j, rng.Float64())
-			}
-			y[i] = rng.NormFloat64()
-		}
-		if err := g.Fit(x, y); err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}
-	g := build()
-	pt := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Append(pt, 1); err != nil {
-			b.Fatal(err)
-		}
-		if g.NumTrain() > 400 {
-			b.StopTimer()
-			g = build()
-			b.StartTimer()
-		}
-	}
-}

@@ -254,31 +254,6 @@ func TestCholeskyLogDetProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCholesky100(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomSPD(rng, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewCholesky(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCholeskySolve100(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	a := randomSPD(rng, 100)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := randomVec(rng, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.SolveVec(rhs)
-	}
-}
-
 // Property: Rank1Update(u) lands on the factorization of A + u uᵀ.
 func TestCholeskyRank1Update(t *testing.T) {
 	for _, n := range []int{1, 3, 17, 70} { // 70 crosses the cholBlock boundary

@@ -9,7 +9,6 @@ import (
 	"os"
 	"slices"
 
-	"alamr/internal/core"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
 	"alamr/internal/obs"
@@ -93,12 +92,12 @@ func (c *campaign) saveCheckpoint(done bool) error {
 	if err != nil {
 		return fmt.Errorf("online: encoding checkpoint: %w", err)
 	}
-	tmp := c.cfg.CheckpointPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := engine.WriteFileAtomic(c.cfg.CheckpointPath, data); err != nil {
+		var commit *os.LinkError
+		if errors.As(err, &commit) {
+			return fmt.Errorf("online: committing checkpoint: %w", err)
+		}
 		return fmt.Errorf("online: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, c.cfg.CheckpointPath); err != nil {
-		return fmt.Errorf("online: committing checkpoint: %w", err)
 	}
 	obs.CheckpointWrites.Inc()
 	return nil
@@ -212,7 +211,7 @@ func resumeCampaign(lab Lab, cfg Config, ck *checkpointFile) (*campaign, error) 
 	defer sp.End()
 	c := newCampaign(lab, cfg)
 	c.res = ck.Result
-	c.res.Reason = core.StopMaxIterations
+	c.res.Reason = engine.StopMaxIterations
 	c.feeds = ck.Feeds
 	c.initLen = ck.InitLen
 	c.cumCost = ck.CumCost

@@ -6,12 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
+	"alamr/internal/stats"
 )
 
 // faultyCfg is the shared fault cocktail of the determinism and resume
@@ -27,7 +28,7 @@ func faultyCfg(seed int64) faults.LabConfig {
 
 func campaignCfg(seed int64) Config {
 	return Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 14,
 		MemLimitMB:     0.35,
 		Seed:           seed,
@@ -118,7 +119,7 @@ func TestOnlineCheckpointKillResume(t *testing.T) {
 		if partial == nil {
 			t.Fatalf("killAfter=%d: no partial result returned", killAfter)
 		}
-		if partial.Reason != core.StopFault {
+		if partial.Reason != engine.StopFault {
 			t.Fatalf("killAfter=%d: reason %s", killAfter, partial.Reason)
 		}
 		// A kill during the warm-up job (killAfter=1) predates the first
@@ -154,7 +155,7 @@ func TestOnlineCheckpointKillResume(t *testing.T) {
 // TestOnlineCheckpointCleanLab verifies checkpoint/resume also holds for a
 // plain fault-free lab (no Resumable state beyond determinism).
 func TestOnlineCheckpointCleanLab(t *testing.T) {
-	cfg := Config{Policy: core.RandGoodness{}, MaxExperiments: 10, Seed: 5}
+	cfg := Config{Policy: engine.RandGoodness{}, MaxExperiments: 10, Seed: 5}
 	uninterrupted, err := Run(newFakeLab(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,14 +178,14 @@ func TestOnlineCheckpointCleanLab(t *testing.T) {
 
 func TestOnlineResumeRejectsMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.ckpt")
-	cfg := Config{Policy: core.RandGoodness{}, MaxExperiments: 3, Seed: 9, CheckpointPath: path}
+	cfg := Config{Policy: engine.RandGoodness{}, MaxExperiments: 3, Seed: 9, CheckpointPath: path}
 	if _, err := Run(newFakeLab(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Finished checkpoints replay idempotently even under a changed policy?
 	// No: config mismatch must be detected before any replay.
 	bad := cfg
-	bad.Policy = core.MaxSigma{}
+	bad.Policy = engine.MaxSigma{}
 	if _, err := Run(newFakeLab(), bad); err == nil {
 		t.Fatal("policy mismatch accepted")
 	}
@@ -304,4 +305,35 @@ func TestCheckpointRestoreErrorPaths(t *testing.T) {
 			t.Fatalf("undamaged checkpoint failed to resume: %v", err)
 		}
 	})
+}
+
+// TestCheckpointFailedCommitLeavesNoTemp forces the checkpoint's rename to
+// fail (the target is a non-empty directory): the error names the commit,
+// the target's previous contents are intact, and no temp file is left in
+// the checkpoint directory.
+func TestCheckpointFailedCommitLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "checkpoint.ckpt")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(target, "keep")
+	if err := os.WriteFile(keep, []byte("previous"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := &campaign{cfg: Config{Policy: engine.RGMA{}, CheckpointPath: target}, res: &Result{}, src: stats.NewCountingSource(1)}
+	err := c.saveCheckpoint(false)
+	if err == nil || !strings.Contains(err.Error(), "online: committing checkpoint") {
+		t.Fatalf("err = %v, want a committing-checkpoint error", err)
+	}
+	if got, err := os.ReadFile(keep); err != nil || string(got) != "previous" {
+		t.Fatalf("previous bytes = %q, %v; want %q", got, err, "previous")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "checkpoint.ckpt" {
+		t.Fatalf("checkpoint directory holds %v, want only checkpoint.ckpt", ents)
+	}
 }

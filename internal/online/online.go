@@ -28,7 +28,6 @@ import (
 
 	"alamr/internal/amr"
 	"alamr/internal/cluster"
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 	"alamr/internal/faults"
@@ -207,7 +206,7 @@ func (l *SimLab) reference(r0, rhoin float64) (*amr.Reference, error) {
 
 // Config drives an online AL campaign.
 type Config struct {
-	Policy core.Policy
+	Policy engine.Policy
 	// InitDesign is the experimenter-chosen warm-up set (the paper's
 	// "experimenters' intuition rather than AL" phase). Empty uses one
 	// median-ish configuration, mirroring the n_init=1 scenario.
@@ -217,7 +216,7 @@ type Config struct {
 	Budget float64
 	// MaxExperiments bounds the number of AL-selected runs (default 50).
 	MaxExperiments int
-	// MemLimitMB, Kernel, GP, Seed as in core.LoopConfig.
+	// MemLimitMB, Kernel, GP, Seed as in engine.LoopConfig.
 	MemLimitMB float64
 	Kernel     kernel.Kernel
 	GP         gp.Config
@@ -318,7 +317,7 @@ type Result struct {
 	// as a success, a retried failure, a censored kill, or a fatal stop.
 	Health Health
 
-	Reason core.StopReason
+	Reason engine.StopReason
 }
 
 // Health aggregates the fault-tolerance bookkeeping of a campaign.
@@ -440,7 +439,7 @@ func newCampaign(lab Lab, cfg Config) *campaign {
 	c := &campaign{
 		lab: lab,
 		cfg: cfg,
-		res: &Result{Reason: core.StopMaxIterations},
+		res: &Result{Reason: engine.StopMaxIterations},
 		src: stats.NewCountingSource(stats.SplitSeed(cfg.Seed, 0)),
 	}
 	c.rng = rand.New(c.src)
@@ -499,7 +498,7 @@ func (c *campaign) init() error {
 				c.feeds = append(c.feeds, feedRec{X: append([]float64(nil), f[:]...), LogMem: &lm, Init: true})
 			}
 		default:
-			c.res.Reason = core.StopFault
+			c.res.Reason = engine.StopFault
 			return fatalError(combo, out)
 		}
 	}
@@ -510,7 +509,7 @@ func (c *campaign) init() error {
 	c.gpCost, c.gpMem, err = fitFromFeeds(c.cfg, c.feeds[:c.initLen])
 	spFit.End()
 	if err != nil {
-		c.res.Reason = core.StopFault
+		c.res.Reason = engine.StopFault
 		return err
 	}
 	c.rebuildPool()
@@ -657,7 +656,7 @@ func (c *campaign) PoolLen() int { return len(c.pool) }
 
 // Score implements engine.LoopEnv: model predictions for the remaining
 // pool, straight from the incremental scoring caches.
-func (c *campaign) Score() *core.Candidates {
+func (c *campaign) Score() *engine.Candidates {
 	var muC, sigC, muM, sigM []float64
 	if c.costCache != nil {
 		muC, sigC = c.costCache.Scores()
@@ -666,7 +665,7 @@ func (c *campaign) Score() *core.Candidates {
 		muC, sigC = c.gpCost.Predict(c.poolX)
 		muM, sigM = c.gpMem.Predict(c.poolX)
 	}
-	cands := &core.Candidates{
+	cands := &engine.Candidates{
 		X: c.poolX, MuCost: muC, SigmaCost: sigC, MuMem: muM, SigmaMem: sigM,
 		MemLimitLog: c.memLimitLog,
 	}
@@ -714,7 +713,7 @@ func (c *campaign) Execute(pick int) (engine.Execution, error) {
 
 // Record implements engine.LoopEnv: append the executed pick to the Result
 // and mirror the running totals for checkpoints.
-func (c *campaign) Record(pick int, cands *core.Candidates, e engine.Execution, violated bool, cumCost, cumRegret float64) {
+func (c *campaign) Record(pick int, cands *engine.Candidates, e engine.Execution, violated bool, cumCost, cumRegret float64) {
 	res := c.res
 	res.Jobs = append(res.Jobs, e.Job)
 	res.PredictedCost = append(res.PredictedCost, math.Pow(10, cands.MuCost[pick]))
@@ -778,9 +777,9 @@ func (c *campaign) Refit() error { return nil }
 
 // RoundEnd implements engine.LoopEnv: budget stop, then the periodic
 // checkpoint. A checkpoint error aborts with the reason unchanged.
-func (c *campaign) RoundEnd(selDone, picked int) (core.StopReason, bool, error) {
+func (c *campaign) RoundEnd(selDone, picked int) (engine.StopReason, bool, error) {
 	if c.cfg.Budget > 0 && c.cumCost >= c.cfg.Budget {
-		return core.StopBudget, true, nil
+		return engine.StopBudget, true, nil
 	}
 	if selDone%c.cfg.CheckpointEvery == 0 {
 		if err := c.saveCheckpoint(false); err != nil {
@@ -815,8 +814,8 @@ func (c *campaign) loop() (*Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if len(c.pool) == 0 && res.Reason == core.StopMaxIterations {
-		res.Reason = core.StopPoolExhausted
+	if len(c.pool) == 0 && res.Reason == engine.StopMaxIterations {
+		res.Reason = engine.StopPoolExhausted
 	}
 	// A cancelled campaign is checkpointed as still-in-flight: a later Run
 	// against the same checkpoint resumes it instead of replaying the

@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
+	"alamr/internal/engine"
 )
 
 // fakeLab is a deterministic analytic lab for fast tests.
@@ -51,7 +51,7 @@ func TestRunValidation(t *testing.T) {
 func TestOnlineCampaignBasics(t *testing.T) {
 	lab := newFakeLab()
 	res, err := Run(lab, Config{
-		Policy:         core.RandGoodness{},
+		Policy:         engine.RandGoodness{},
 		MaxExperiments: 15,
 		Seed:           1,
 	})
@@ -84,7 +84,7 @@ func TestOnlineCampaignBasics(t *testing.T) {
 func TestOnlinePredictionsImprove(t *testing.T) {
 	lab := newFakeLab()
 	res, err := Run(lab, Config{
-		Policy:         core.RandUniform{},
+		Policy:         engine.RandUniform{},
 		MaxExperiments: 60,
 		Seed:           2,
 	})
@@ -110,7 +110,7 @@ func TestOnlinePredictionsImprove(t *testing.T) {
 func TestOnlineBudgetStops(t *testing.T) {
 	lab := newFakeLab()
 	res, err := Run(lab, Config{
-		Policy:         core.MaxSigma{}, // seeks expensive/uncertain configs
+		Policy:         engine.MaxSigma{}, // seeks expensive/uncertain configs
 		MaxExperiments: 1000,
 		Budget:         0.5,
 		Seed:           3,
@@ -118,7 +118,7 @@ func TestOnlineBudgetStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reason != core.StopReason("budget-exhausted") {
+	if res.Reason != engine.StopReason("budget-exhausted") {
 		t.Fatalf("reason = %s", res.Reason)
 	}
 	n := len(res.CumCost)
@@ -134,7 +134,7 @@ func TestOnlineBudgetStops(t *testing.T) {
 func TestOnlineMemoryLimitRGMA(t *testing.T) {
 	lab := newFakeLab()
 	res, err := Run(lab, Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 40,
 		MemLimitMB:     0.3,
 		Seed:           4,
@@ -159,7 +159,7 @@ func TestOnlineMemoryLimitRGMA(t *testing.T) {
 
 func TestOnlineLabErrorPropagates(t *testing.T) {
 	lab := &errLab{fakeLab{combos: dataset.AllCombos()}}
-	_, err := Run(lab, Config{Policy: core.RandUniform{}, MaxExperiments: 10, Seed: 5})
+	_, err := Run(lab, Config{Policy: engine.RandUniform{}, MaxExperiments: 10, Seed: 5})
 	if err == nil {
 		t.Fatal("lab failure swallowed")
 	}
@@ -207,7 +207,7 @@ func TestOnlineEndToEndWithSimLab(t *testing.T) {
 	}
 	lab := NewSimLab(SimLabConfig{RefNx: 32, RefTEnd: 0.05, RefSnaps: 3, Seed: 7})
 	res, err := Run(lab, Config{
-		Policy:         core.RGMA{},
+		Policy:         engine.RGMA{},
 		MaxExperiments: 6,
 		Seed:           8,
 	})

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"alamr/internal/core"
 	"alamr/internal/dataset"
 	"alamr/internal/engine"
 )
@@ -106,7 +105,7 @@ func TestRunSpecMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct, err := Run(engine.NewReplayLab(ds), Config{
-		Policy:         core.RandGoodness{},
+		Policy:         engine.RandGoodness{},
 		MaxExperiments: 10,
 		Seed:           5,
 		InitDesign:     []dataset.Combo{ds.Jobs[0].Config()},
