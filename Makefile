@@ -130,18 +130,19 @@ bench-al:
 # streamed pools O(workers·shard + k). Exact-model cases are skipped by
 # default (the O(m·n²) pass is tens of minutes); run bench-scale-full to
 # include them. bench-summary renders the table with a provenance header
-# and a speedup-vs-workers column.
+# and a speedup-vs-workers column. Output goes to BENCH_scale.json, so the
+# scoring benchmarks bench-al records in BENCH_al.json stay untouched.
 bench-scale:
 	$(GO) test -run '^$$' -bench 'ScaleScoring' -benchtime 1x -benchmem -json \
-		-timeout 60m ./internal/engine > BENCH_al.json
-	$(GO) run ./cmd/bench-summary BENCH_al.json
+		-timeout 60m ./internal/engine > BENCH_scale.json
+	$(GO) run ./cmd/bench-summary BENCH_scale.json
 
 # bench-scale-full is bench-scale with the exact-model cases included
 # (-args -full); budget well over an hour at m=1e5.
 bench-scale-full:
 	$(GO) test -run '^$$' -bench 'ScaleScoring' -benchtime 1x -benchmem -json \
-		-timeout 180m ./internal/engine -args -full > BENCH_al.json
-	$(GO) run ./cmd/bench-summary BENCH_al.json
+		-timeout 180m ./internal/engine -args -full > BENCH_scale.json
+	$(GO) run ./cmd/bench-summary BENCH_scale.json
 
 # bench-scale-smoke is the CI-sized correctness twin of bench-scale
 # (n=500, m=1e4): every surrogate family's streamed shortlist winner must

@@ -89,7 +89,7 @@ func main() {
 	test := perm[140:]
 	xTest := ds.Features(test)
 	truth := ds.Cost(test)
-	mu, _ := g.Predict(xTest)
+	mu := g.PredictMean(xTest)
 	var rel float64
 	for i := range mu {
 		rel += math.Abs(math.Pow(10, mu[i])-truth[i]) / truth[i]

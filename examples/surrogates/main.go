@@ -48,7 +48,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fitTime := time.Since(t0)
-		mu, _ := m.model.Predict(xTest)
+		mu := m.model.PredictMean(xTest)
 		var mse float64
 		for i, v := range mu {
 			d := math.Pow(10, v) - costTest[i]
@@ -79,8 +79,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m1, _ := exact.Predict(xTest)
-	m2, _ := back.Predict(xTest)
+	m1 := exact.PredictMean(xTest)
+	m2 := back.PredictMean(xTest)
 	var maxDiff float64
 	for i := range m1 {
 		maxDiff = math.Max(maxDiff, math.Abs(m1[i]-m2[i]))

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"alamr/internal/dataset"
+	"alamr/internal/obs"
 	"alamr/internal/stats"
 )
 
@@ -265,5 +267,33 @@ func TestPaperMemLimit(t *testing.T) {
 	// data.
 	if l < mx*0.2 {
 		t.Fatalf("limit %g suspiciously low vs max %g", l, mx)
+	}
+}
+
+// TestReplayEvaluateSpanPerRound pins the evaluate phase: a replay campaign
+// records exactly one evaluate sample per round (the post-round RMSE curves
+// and stability check), sequential and q-batch alike.
+func TestReplayEvaluateSpanPerRound(t *testing.T) {
+	ds := synthDS(120, 61)
+	evalName := obs.Labeled(obs.MetricLoopPhaseSeconds, "phase", obs.PhaseEvaluate)
+	for _, tc := range []struct {
+		q, rounds int
+	}{{1, 7}, {3, 3}} {
+		obs.Disable()
+		reg := obs.NewRegistry()
+		obs.Enable(reg, nil)
+		spec := replaySpec(fmt.Sprintf("obs/evaluate/q=%d", tc.q), "maxsigma", 4, 10, 7)
+		if tc.q > 1 {
+			spec.MaxIterations = tc.q * tc.rounds
+			spec.Replay.Batch = &BatchSelectSpec{Q: tc.q}
+		}
+		_, err := RunReplaySpec(ds, spec)
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.TakeSnapshot().Histograms[evalName].Count; got != int64(tc.rounds) {
+			t.Fatalf("q=%d: %d evaluate samples, want one per round (%d)", tc.q, got, tc.rounds)
+		}
 	}
 }

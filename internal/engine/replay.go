@@ -166,29 +166,32 @@ func (e *replayEnv) Refit() error {
 }
 
 func (e *replayEnv) RoundEnd(selDone, picked int) (StopReason, bool, error) {
+	sp := obs.SpanEvaluate.Start()
+	defer sp.End()
 	// One post-round RMSE value; in batch mode it is replicated across the
-	// round's picks (the sequential loop has picked == 1).
-	cr := nonLogRMSE(e.gpCost, e.xTest, e.costTest)
-	mr := nonLogRMSE(e.gpMem, e.xTest, e.memTest)
+	// round's picks (the sequential loop has picked == 1). The cost model's
+	// test-set mean also feeds the stability check.
+	muCost := e.gpCost.PredictMean(e.xTest)
+	cr := nonLogRMSE(muCost, e.costTest)
+	mr := nonLogRMSE(e.gpMem.PredictMean(e.xTest), e.memTest)
 	for i := 0; i < picked; i++ {
 		e.tr.CostRMSE = append(e.tr.CostRMSE, cr)
 		e.tr.MemRMSE = append(e.tr.MemRMSE, mr)
 	}
 
 	if !e.batch && e.stable != nil {
-		muTest, _ := e.gpCost.Predict(e.xTest)
 		if e.prevTestMu != nil {
-			if meanAbsDiff(muTest, e.prevTestMu) < e.stable.Tol {
+			if meanAbsDiff(muCost, e.prevTestMu) < e.stable.Tol {
 				e.stableRun++
 			} else {
 				e.stableRun = 0
 			}
 			if e.stableRun >= e.stable.Window {
-				e.prevTestMu = muTest
+				e.prevTestMu = muCost
 				return StopStable, true, nil
 			}
 		}
-		e.prevTestMu = muTest
+		e.prevTestMu = muCost
 	}
 	return "", false, nil
 }
@@ -277,8 +280,8 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 		NInit:  len(part.Init),
 		Seed:   cfg.Seed,
 	}
-	tr.InitCostRMSE = nonLogRMSE(gpCost, xTest, costTest)
-	tr.InitMemRMSE = nonLogRMSE(gpMem, xTest, memTest)
+	tr.InitCostRMSE = nonLogRMSE(gpCost.PredictMean(xTest), costTest)
+	tr.InitMemRMSE = nonLogRMSE(gpMem.PredictMean(xTest), memTest)
 
 	remaining := append([]int(nil), part.Active...)
 	rng := rand.New(rand.NewSource(stats.SplitSeed(cfg.Seed, 0)))
@@ -363,11 +366,10 @@ func appendAndRefit(g gp.Model, x []float64, y float64) error {
 	return g.Refit()
 }
 
-// nonLogRMSE evaluates the paper's error metric (eq. 10): predictions are
-// exponentiated back to the raw response scale and compared with the
-// unmodified test measurements.
-func nonLogRMSE(g gp.Model, xTest *mat.Dense, actual []float64) float64 {
-	mu, _ := g.Predict(xTest)
+// nonLogRMSE evaluates the paper's error metric (eq. 10): the log-space
+// test-set means mu are exponentiated back to the raw response scale and
+// compared with the unmodified test measurements.
+func nonLogRMSE(mu, actual []float64) float64 {
 	pred := make([]float64, len(mu))
 	for i, m := range mu {
 		pred[i] = math.Pow(10, m)

@@ -123,7 +123,7 @@ func scoreFinalModel(ds *dataset.Dataset, part dataset.Partition, tr *engine.Tra
 	if err := g.Fit(ds.Features(trainIdx), ds.LogCost(trainIdx)); err != nil {
 		return weightedCell{}, err
 	}
-	mu, _ := g.Predict(ds.Features(part.Test))
+	mu := g.PredictMean(ds.Features(part.Test))
 	pred := make([]float64, len(mu))
 	for i, m := range mu {
 		pred[i] = math.Pow(10, m)

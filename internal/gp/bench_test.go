@@ -63,11 +63,14 @@ func BenchmarkFitLMLGradient(b *testing.B) {
 		b.Run(bs.name, func(b *testing.B) {
 			x, y := benchTraining(bs.n, 2)
 			k := kernel.NewRBF(1, 1)
+			o := newLMLObjective(x, y, true)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := logMarginalLikelihood(k, -1, x, y, true); err != nil {
+				_, grad, err := o.eval(k, -1)
+				if err != nil {
 					b.Fatal(err)
 				}
+				grad()
 			}
 		})
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"alamr/internal/kernel"
 	"alamr/internal/mat"
@@ -96,6 +97,52 @@ type GP struct {
 	// them stale (new hyperparameters invalidate every stored solve) and
 	// Append extends them by one border step.
 	caches []*ScoringCache
+
+	// meanRows holds the kernel rows of the last PredictMean test set.
+	meanRows testRows
+}
+
+// testRows caches k(x_i, X) for a fixed test set across PredictMean calls.
+// Each Append adds one training row and so one column, which the next call
+// fills through rowEval; its Extend keeps the evaluator bitwise-equal to a
+// rebuilt one, so a cached row equals a fresh rowEval.Eval row entry for
+// entry. precompute drops the columns (cols = 0): new hyperparameters
+// change every entry. The row buffers are kept for reuse.
+type testRows struct {
+	mu   sync.Mutex
+	x    *mat.Dense  // private copy of the test set the rows belong to
+	rows [][]float64 // rows[i][:cols] = k(x.Row(i), training rows)
+	cols int
+}
+
+// bind points the cache at xs, keeping the cached columns only when xs
+// holds exactly the cached test set (compared bit for bit, O(m·d)).
+func (c *testRows) bind(xs *mat.Dense) {
+	if c.x != nil && sameBits(c.x, xs) {
+		return
+	}
+	c.x = xs.Clone()
+	c.rows = make([][]float64, xs.Rows())
+	c.cols = 0
+}
+
+// sameBits reports whether a and b have the same shape and bit-identical
+// entries.
+func sameBits(a, b *mat.Dense) bool {
+	ar, ac := a.Dims()
+	br, bc := b.Dims()
+	if ar != br || ac != bc {
+		return false
+	}
+	for i := 0; i < ar; i++ {
+		ra, rb := a.Row(i), b.Row(i)
+		for j := range ra {
+			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // New creates a GP with the given kernel prototype and configuration. The
@@ -197,27 +244,33 @@ func (g *GP) Fit(x *mat.Dense, y []float64) error {
 
 // nlmlObjective builds the negative-LML objective over the log-space
 // hyperparameter vector θ = (kernel params..., log σ_n). When noise is
-// fixed, the last component is omitted.
+// fixed, the last component is omitted. It is value first (see
+// optimize.Objective): each evaluation factors K_y and returns −LML, and
+// the returned thunk computes the gradient at the same θ only when the
+// optimizer asks for it.
 func (g *GP) nlmlObjective() optimize.Objective {
 	nk := g.kern.NumParams()
 	k := g.kern.Clone()
-	return func(theta []float64) (float64, []float64) {
+	lml := newLMLObjective(g.x, g.y, !g.cfg.FixedNoise)
+	return func(theta []float64) (float64, func() []float64) {
 		k.SetParams(theta[:nk])
 		logNoise := g.logNoise
 		if !g.cfg.FixedNoise {
 			logNoise = theta[nk]
 		}
-		lml, grad, err := logMarginalLikelihood(k, logNoise, g.x, g.y, !g.cfg.FixedNoise)
+		v, grad, err := lml.eval(k, logNoise)
 		if err != nil {
 			// Non-PD covariance at these hyperparameters: treat as a cliff.
-			bad := make([]float64, len(theta))
-			return math.Inf(1), bad
+			dim := len(theta)
+			return math.Inf(1), func() []float64 { return make([]float64, dim) }
 		}
-		neg := make([]float64, len(theta))
-		for i := range grad {
-			neg[i] = -grad[i]
+		return -v, func() []float64 {
+			neg := grad()
+			for i := range neg {
+				neg[i] = -neg[i]
+			}
+			return neg
 		}
-		return -lml, neg
 	}
 }
 
@@ -267,6 +320,7 @@ func (g *GP) precompute() error {
 	g.chol = ch
 	g.alpha = ch.SolveVec(g.y)
 	g.rowEval = kernel.NewRowEval(g.kern, g.x)
+	g.meanRows.cols = 0
 	n := float64(len(g.y))
 	g.lml = -0.5*mat.Dot(g.y, g.alpha) - 0.5*ch.LogDet() - 0.5*n*math.Log(2*math.Pi)
 	g.fitted = true
@@ -342,6 +396,47 @@ func (g *GP) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
 	g.predictRange(xs, mean, std, 0, m)
 }
 
+// PredictMean returns the posterior mean at each row of xs, bitwise equal to
+// Predict's mean without the O(n²) variance solve per point. The kernel
+// rows of the last test set are cached: calling again with the same rows
+// (for example every AL iteration on a fixed test split) evaluates only the
+// columns of training rows appended since, until a Fit or Refit installs
+// new hyperparameters. Calls on one model are serialized; like Predict, it
+// must not overlap Fit, Append or Refit.
+func (g *GP) PredictMean(xs *mat.Dense) []float64 {
+	if !g.fitted {
+		panic("gp: PredictMean before Fit")
+	}
+	c := &g.meanRows
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bind(xs)
+	n, from := g.x.Rows(), c.cols
+	mean := make([]float64, xs.Rows())
+	mat.ParallelFor(len(mean), mat.ChunkFor(32*(n-from)+2*n), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := c.rows[i]
+			if cap(row) < n {
+				// Grow with 25% slack: the rows gain one column per Append.
+				grown := make([]float64, n, n+n/4+8)
+				copy(grown, row[:from])
+				row = grown
+			}
+			row = row[:n]
+			g.rowEval.Eval(xs.Row(i), from, row[from:])
+			c.rows[i] = row
+			mean[i] = g.meanOf(row)
+		}
+	})
+	c.cols = n
+	return mean
+}
+
+// meanOf is the posterior mean from a test point's kernel row,
+// ks = k(x, X): the one mean formula Predict, PredictMean and the treed and
+// multi-fidelity models share, so their means agree bitwise.
+func (g *GP) meanOf(ks []float64) float64 { return mat.Dot(ks, g.alpha) + g.yMean }
+
 // PredictOne returns the posterior mean and standard deviation at a single
 // point.
 func (g *GP) PredictOne(x []float64) (mean, std float64) {
@@ -356,8 +451,7 @@ func (g *GP) PredictOne(x []float64) (mean, std float64) {
 // predictOneInto computes one posterior (mean, std) using caller-provided
 // scratch: ks and v must each have length NumTrain and are overwritten.
 func (g *GP) predictOneInto(x, ks, v []float64) (float64, float64) {
-	g.rowEval.Eval(x, 0, ks)
-	mean := mat.Dot(ks, g.alpha) + g.yMean
+	mean := g.meanOneInto(x, ks)
 	// σ² = k** − vᵀv with v = L⁻¹ k*. The serial solve is bitwise-identical
 	// to the parallel one; callers of this method are themselves chunks of a
 	// ParallelFor, so nested dispatch would only allocate.
@@ -369,40 +463,91 @@ func (g *GP) predictOneInto(x, ks, v []float64) (float64, float64) {
 	return mean, math.Sqrt(variance)
 }
 
-// logMarginalLikelihood evaluates the LML and its gradient with respect to
+// meanOneInto returns the posterior mean at x, leaving k(x, X) in ks
+// (length NumTrain).
+func (g *GP) meanOneInto(x, ks []float64) float64 {
+	g.rowEval.Eval(x, 0, ks)
+	return g.meanOf(ks)
+}
+
+// lmlObjective evaluates the log marginal likelihood of a fixed training
+// set at changing hyperparameters, value first. eval assembles K_y, factors
+// it, solves α = K_y⁻¹y and returns the LML; the gradient with respect to
 // the log-space hyperparameters (kernel params, then log σ_n when withNoise
-// is true), using the standard identity
+// is true) comes from a thunk, by the standard identity
 //
-//	∂LML/∂θ = ½ tr((ααᵀ − K_y⁻¹) ∂K_y/∂θ).
-func logMarginalLikelihood(k kernel.Kernel, logNoise float64, x *mat.Dense, y []float64, withNoise bool) (float64, []float64, error) {
+//	∂LML/∂θ = ½ tr((ααᵀ − K_y⁻¹) ∂K_y/∂θ),
+//
+// so only evaluations whose gradient is read pay for dK/dθ, the explicit
+// K_y⁻¹ and the trace terms. The n×n assembly buffers are reused across
+// evaluations, which is why a thunk is valid only until the next eval: a
+// stale thunk panics instead of reading another evaluation's state.
+type lmlObjective struct {
+	x         *mat.Dense
+	y         []float64
+	withNoise bool
+
+	ky    *mat.Dense   // K_y assembly buffer (Cholesky copies it)
+	grads []*mat.Dense // dK/dθ buffers, allocated at the first gradient
+	gen   uint64       // evaluations so far; a thunk belongs to one
+}
+
+func newLMLObjective(x *mat.Dense, y []float64, withNoise bool) *lmlObjective {
 	n := x.Rows()
-	ky, grads := kernel.GramGrad(k, x)
+	return &lmlObjective{x: x, y: y, withNoise: withNoise, ky: mat.NewDense(n, n, nil)}
+}
+
+// eval returns the LML at kernel k (its current parameters) and noise
+// log σ_n, with the thunk for its gradient. k must keep its parameters
+// until the thunk has run. The covariance is assembled through
+// kernel.GramGradInto's value-only mode, so the LML equals the one computed
+// alongside the gradient bit for bit.
+func (o *lmlObjective) eval(k kernel.Kernel, logNoise float64) (float64, func() []float64, error) {
+	o.gen++
+	gen := o.gen
+	n := o.x.Rows()
+	kernel.GramGradInto(k, o.x, o.ky, nil)
 	noise2 := math.Exp(2 * logNoise)
-	ky.AddDiag(noise2)
-	ch, err := mat.NewCholeskyJitter(ky, 1e-10, 1e-6)
+	o.ky.AddDiag(noise2)
+	ch, err := mat.NewCholeskyJitter(o.ky, 1e-10, 1e-6)
 	if err != nil {
 		return 0, nil, err
 	}
-	alpha := ch.SolveVec(y)
-	lml := -0.5*mat.Dot(y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
+	alpha := ch.SolveVec(o.y)
+	lml := -0.5*mat.Dot(o.y, alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
 
-	kinv := ch.Inverse()
-	np := k.NumParams()
-	dim := np
-	if withNoise {
-		dim++
-	}
-	grad := make([]float64, dim)
-	for t := 0; t < np; t++ {
-		grad[t] = 0.5 * traceInnerDiff(alpha, kinv, grads[t])
-	}
-	if withNoise {
-		// ∂K_y/∂(log σ_n) = 2 σ_n² I, so the trace reduces to the diagonal.
-		var tr float64
-		for i := 0; i < n; i++ {
-			tr += alpha[i]*alpha[i] - kinv.At(i, i)
+	grad := func() []float64 {
+		if o.gen != gen {
+			panic("gp: LML gradient thunk called after a later evaluation")
 		}
-		grad[np] = 0.5 * tr * 2 * noise2
+		np := k.NumParams()
+		if o.grads == nil {
+			o.grads = make([]*mat.Dense, np)
+			for t := range o.grads {
+				o.grads[t] = mat.NewDense(n, n, nil)
+			}
+		}
+		// K_y is no longer needed (the factor holds its own copy), so the
+		// full assembly may overwrite it with the identical K.
+		kernel.GramGradInto(k, o.x, o.ky, o.grads)
+		kinv := ch.Inverse()
+		dim := np
+		if o.withNoise {
+			dim++
+		}
+		out := make([]float64, dim)
+		for t := 0; t < np; t++ {
+			out[t] = 0.5 * traceInnerDiff(alpha, kinv, o.grads[t])
+		}
+		if o.withNoise {
+			// ∂K_y/∂(log σ_n) = 2 σ_n² I, so the trace reduces to the diagonal.
+			var tr float64
+			for i := 0; i < n; i++ {
+				tr += alpha[i]*alpha[i] - kinv.At(i, i)
+			}
+			out[np] = 0.5 * tr * 2 * noise2
+		}
+		return out
 	}
 	return lml, grad, nil
 }

@@ -158,10 +158,12 @@ func TestLMLGradientFiniteDifference(t *testing.T) {
 	}
 	k := kernel.NewRBF(0.8, 1.2)
 	logNoise := math.Log(0.3)
-	lml0, grad, err := logMarginalLikelihood(k, logNoise, x, y, true)
+	o := newLMLObjective(x, y, true)
+	lml0, gradFn, err := o.eval(k, logNoise)
 	if err != nil {
 		t.Fatal(err)
 	}
+	grad := gradFn()
 	const h = 1e-6
 	// Kernel parameter derivatives.
 	p0 := k.Params()
@@ -169,13 +171,13 @@ func TestLMLGradientFiniteDifference(t *testing.T) {
 		p := mat.CopyVec(p0)
 		p[tIdx] += h
 		k.SetParams(p)
-		lp, _, err := logMarginalLikelihood(k, logNoise, x, y, true)
+		lp, _, err := o.eval(k, logNoise)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p[tIdx] -= 2 * h
 		k.SetParams(p)
-		lm, _, err := logMarginalLikelihood(k, logNoise, x, y, true)
+		lm, _, err := o.eval(k, logNoise)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,8 +188,8 @@ func TestLMLGradientFiniteDifference(t *testing.T) {
 		}
 	}
 	// Noise derivative.
-	lp, _, _ := logMarginalLikelihood(k, logNoise+h, x, y, true)
-	lm, _, _ := logMarginalLikelihood(k, logNoise-h, x, y, true)
+	lp, _, _ := o.eval(k, logNoise+h)
+	lm, _, _ := o.eval(k, logNoise-h)
 	fd := (lp - lm) / (2 * h)
 	if math.Abs(fd-grad[k.NumParams()]) > 1e-4*math.Max(1, math.Abs(fd)) {
 		t.Fatalf("noise grad = %g, fd = %g", grad[k.NumParams()], fd)

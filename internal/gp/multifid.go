@@ -188,8 +188,9 @@ func (m *MultiFid) fitLevel(l int) error {
 		copy(resid, m.ys[0])
 	} else {
 		below := make([]float64, len(m.ys[l]))
+		var ks []float64
 		for i, p := range m.xs[l] {
-			below[i], _ = m.predictPoint(l-1, p)
+			below[i] = m.meanPoint(l-1, p, &ks)
 		}
 		m.rho[l] = m.estimateRho(l, below, m.ys[l])
 		for i := range resid {
@@ -268,8 +269,8 @@ func (m *MultiFid) Append(x []float64, y float64) error {
 	}
 	resid := y
 	if l > 0 {
-		below, _ := m.predictPoint(l-1, p)
-		resid = y - m.rho[l]*below
+		var ks []float64
+		resid = y - m.rho[l]*m.meanPoint(l-1, p, &ks)
 	}
 	return m.levels[l].Append(p, resid)
 }
@@ -313,6 +314,29 @@ func (m *MultiFid) predictPoint(level int, p []float64) (mean, std float64) {
 	return mu, math.Sqrt(variance)
 }
 
+// meanPoint is predictPoint's mean alone: the same recursion over the same
+// per-level means, bitwise equal, without the variance solves. *ks is
+// kernel-row scratch, grown as needed.
+func (m *MultiFid) meanPoint(level int, p []float64, ks *[]float64) float64 {
+	var mu float64
+	for l := 0; l <= level; l++ {
+		var md float64
+		if g := m.levels[l]; g != nil {
+			n := g.NumTrain()
+			if cap(*ks) < n {
+				*ks = make([]float64, n)
+			}
+			md = g.meanOneInto(p, (*ks)[:n])
+		}
+		if l == 0 {
+			mu = md
+		} else {
+			mu = m.rho[l]*mu + md
+		}
+	}
+	return mu
+}
+
 // priorStd is the prior standard deviation the recursion charges for a
 // level that has no observations yet, from the unfitted kernel prototype.
 func (m *MultiFid) priorStd(p []float64) float64 {
@@ -347,6 +371,30 @@ func (m *MultiFid) PredictInto(xs *mat.Dense, mean, std []float64) {
 	mat.ParallelFor(mm, mat.ChunkFor(len(m.mf.Ladder)*(n*n/2+32*n)+8), func(lo, hi int) {
 		m.predictRange(xs, mean, std, lo, hi)
 	})
+}
+
+// PredictMean implements Model: each row's recursive mean at its own
+// fidelity level, without the per-level variance solves.
+func (m *MultiFid) PredictMean(xs *mat.Dense) []float64 {
+	if !m.fitted {
+		panic("gp: PredictMean before Fit")
+	}
+	mean := make([]float64, xs.Rows())
+	n := m.maxTrain()
+	mat.ParallelFor(len(mean), mat.ChunkFor(len(m.mf.Ladder)*34*n+8), func(lo, hi int) {
+		p := make([]float64, xs.Cols()-1)
+		var ks []float64
+		for i := lo; i < hi; i++ {
+			row := xs.Row(i)
+			l, err := m.Level(row)
+			if err != nil {
+				panic(err)
+			}
+			m.stripInto(p, row)
+			mean[i] = m.meanPoint(l, p, &ks)
+		}
+	})
+	return mean
 }
 
 // PredictIntoSerial is PredictInto pinned to the calling goroutine,

@@ -250,8 +250,7 @@ func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	km := make([]float64, m)
 	w := make([]float64, m)
 	for i := lo; i < hi; i++ {
-		s.zEval(xs.Row(i), 0, km)
-		mean[i] = mat.Dot(km, s.beta) + s.yMean
+		mean[i] = s.meanOneInto(xs.Row(i), km)
 		s.aChol.ForwardSolveVecToSerial(w, km)
 		v := mat.Dot(w, w)
 		if v < 0 {
@@ -259,6 +258,30 @@ func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 		}
 		std[i] = math.Sqrt(v)
 	}
+}
+
+// meanOneInto returns the SoR mean at x, leaving k(x, Z) in km (length
+// NumInducing): the mean Predict and PredictMean share.
+func (s *Sparse) meanOneInto(x, km []float64) float64 {
+	s.zEval(x, 0, km)
+	return mat.Dot(km, s.beta) + s.yMean
+}
+
+// PredictMean implements Model: Predict's mean, O(m) per point instead of
+// the O(m²) variance solve.
+func (s *Sparse) PredictMean(xs *mat.Dense) []float64 {
+	if !s.fitted {
+		panic("gp: Sparse.PredictMean before Fit")
+	}
+	m := s.z.Rows()
+	mean := make([]float64, xs.Rows())
+	mat.ParallelFor(len(mean), mat.ChunkFor(34*m), func(lo, hi int) {
+		km := make([]float64, m)
+		for i := lo; i < hi; i++ {
+			mean[i] = s.meanOneInto(xs.Row(i), km)
+		}
+	})
+	return mean
 }
 
 // PredictIntoSerial is PredictInto pinned to the calling goroutine —

@@ -17,6 +17,9 @@ import (
 type Model interface {
 	Fit(x *mat.Dense, y []float64) error
 	Predict(xs *mat.Dense) (mean, std []float64)
+	// PredictMean returns Predict's mean, bit for bit, without computing
+	// the variance: the form for callers that read the mean only.
+	PredictMean(xs *mat.Dense) []float64
 	Append(x []float64, y float64) error
 	Refit() error
 	Hyperparams() []float64
@@ -286,6 +289,27 @@ func (t *Treed) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 		s := scratch[:2*n]
 		mean[i], std[i] = leaf.model.predictOneInto(xs.Row(i), s[:n], s[n:])
 	}
+}
+
+// PredictMean implements Model: each row's mean from its leaf GP, through
+// the same meanOneInto the leaf's Predict runs before the variance.
+func (t *Treed) PredictMean(xs *mat.Dense) []float64 {
+	if t.root == nil {
+		panic("gp: Treed.PredictMean before Fit")
+	}
+	mean := make([]float64, xs.Rows())
+	mat.ParallelFor(len(mean), mat.ChunkFor(34*t.leafSize+16), func(lo, hi int) {
+		var ks []float64
+		for i := lo; i < hi; i++ {
+			leaf := t.leafFor(xs.Row(i))
+			n := leaf.model.NumTrain()
+			if cap(ks) < n {
+				ks = make([]float64, n)
+			}
+			mean[i] = leaf.model.meanOneInto(xs.Row(i), ks[:n])
+		}
+	})
+	return mean
 }
 
 // PredictIntoSerial is PredictInto pinned to the calling goroutine —

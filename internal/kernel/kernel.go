@@ -295,7 +295,11 @@ func RowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, out []flo
 
 // GradRowEvaluator is the gradient companion of RowEvaluator: it fills
 // val[t] = k(x, xs.Row(from+t)) and grads[p][t] = dk/dθ_p for each
-// log-space hyperparameter. Safe for concurrent use.
+// log-space hyperparameter. A nil grads selects the value-only mode: val is
+// computed by the same arithmetic and the derivative writes are skipped, so
+// the values agree bitwise with the gradient mode's. (RowEvaluator does not
+// have that property for every kernel: the ARD-RBF fast path there works
+// on pre-scaled rows.) Safe for concurrent use.
 func GradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val []float64, grads [][]float64) {
 	switch kk := k.(type) {
 	case *RBF:
@@ -306,13 +310,15 @@ func GradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val [
 		norms := rowSqNorms(xs)
 		return func(x []float64, from int, val []float64, grads [][]float64) {
 			nx := sqNorm(x)
-			g0, g1 := grads[0], grads[1]
 			for t := range val {
 				r2 := sqDistVia(nx, norms[from+t], x, xs.Row(from+t))
 				v := amp2 * math.Exp(-r2*inv2l2)
 				val[t] = v
-				g0[t] = v * r2 * invl2
-				g1[t] = 2 * v
+				if grads == nil {
+					continue
+				}
+				grads[0][t] = v * r2 * invl2
+				grads[1][t] = 2 * v
 			}
 		}
 	case *ARDRBF:
@@ -335,6 +341,9 @@ func GradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val [
 				}
 				v := amp2 * math.Exp(-0.5*s)
 				val[t] = v
+				if grads == nil {
+					continue
+				}
 				for dd := 0; dd < d; dd++ {
 					grads[dd][t] = v * rd2[dd]
 				}
@@ -352,23 +361,32 @@ func GradRowEvaluator(k Kernel, xs *mat.Dense) func(x []float64, from int, val [
 		norms := rowSqNorms(xs)
 		return func(x []float64, from int, val []float64, grads [][]float64) {
 			nx := sqNorm(x)
-			g0, g1 := grads[0], grads[1]
 			for t := range val {
 				a := c1 * math.Sqrt(sqDistVia(nx, norms[from+t], x, xs.Row(from+t)))
 				e := math.Exp(-a)
 				if half {
 					val[t] = amp2 * (1 + a) * e
-					g0[t] = amp2 * a * a * e
 				} else {
 					val[t] = amp2 * (1 + a + a*a/3) * e
-					g0[t] = amp2 * a * a * (1 + a) / 3 * e
 				}
-				g1[t] = 2 * val[t]
+				if grads == nil {
+					continue
+				}
+				if half {
+					grads[0][t] = amp2 * a * a * e
+				} else {
+					grads[0][t] = amp2 * a * a * (1 + a) / 3 * e
+				}
+				grads[1][t] = 2 * val[t]
 			}
 		}
 	default:
 		return func(x []float64, from int, val []float64, grads [][]float64) {
 			for t := range val {
+				if grads == nil {
+					val[t] = k.Eval(x, xs.Row(from+t))
+					continue
+				}
 				v, dv := k.EvalGrad(x, xs.Row(from+t))
 				val[t] = v
 				for p := range dv {
@@ -488,15 +506,35 @@ func mirrorLower(g *mat.Dense) {
 // the GradRowEvaluator fast path.
 func GramGrad(k Kernel, x *mat.Dense) (*mat.Dense, []*mat.Dense) {
 	n := x.Rows()
-	p := k.NumParams()
 	g := mat.NewDense(n, n, nil)
-	grads := make([]*mat.Dense, p)
+	grads := make([]*mat.Dense, k.NumParams())
 	for t := range grads {
 		grads[t] = mat.NewDense(n, n, nil)
 	}
+	GramGradInto(k, x, g, grads)
+	return g, grads
+}
+
+// GramGradInto is GramGrad writing into caller-owned n×n buffers, for
+// callers that assemble repeatedly at one size (the marginal-likelihood
+// objective). A nil grads assembles the covariance matrix alone through the
+// evaluator's value-only mode: its entries equal GramGrad's bit for bit,
+// which Gram does not promise for every kernel.
+func GramGradInto(k Kernel, x, g *mat.Dense, grads []*mat.Dense) {
+	n := x.Rows()
+	if gr, gc := g.Dims(); gr != n || gc != n {
+		panic(fmt.Sprintf("kernel: GramGradInto buffer %dx%d for %d rows", gr, gc, n))
+	}
+	if grads != nil && len(grads) != k.NumParams() {
+		panic(fmt.Sprintf("kernel: GramGradInto got %d gradient buffers, want %d", len(grads), k.NumParams()))
+	}
+	p := len(grads)
 	ev := GradRowEvaluator(k, x)
 	mat.ParallelFor(n, gramChunk(n), func(lo, hi int) {
-		local := make([][]float64, p)
+		var local [][]float64
+		if grads != nil {
+			local = make([][]float64, p)
+		}
 		for i := lo; i < hi; i++ {
 			for t := 0; t < p; t++ {
 				local[t] = grads[t].Row(i)[i:]
@@ -508,7 +546,6 @@ func GramGrad(k Kernel, x *mat.Dense) (*mat.Dense, []*mat.Dense) {
 	for t := 0; t < p; t++ {
 		mirrorLower(grads[t])
 	}
-	return g, grads
 }
 
 // Cross fills the m×n covariance matrix between the rows of a and b,

@@ -141,6 +141,10 @@ var (
 	SpanSelect   = SpanHandle{name: PhaseSelect}
 	SpanRun      = SpanHandle{name: PhaseRun}
 	SpanFeed     = SpanHandle{name: PhaseFeed}
+	// SpanEvaluate times the per-round model evaluation: the replay
+	// test-set RMSE curves and stability check, the online one-step
+	// predictions.
+	SpanEvaluate = SpanHandle{name: PhaseEvaluate}
 
 	// GP internals.
 	GPRebuilds  CounterHandle
@@ -241,7 +245,7 @@ func bindHandles(r *Registry) {
 	}
 	FidelitySelections.p.Store(&fidLevels)
 
-	for _, sp := range []*SpanHandle{&SpanFit, &SpanHyperopt, &SpanScore, &SpanSelect, &SpanRun, &SpanFeed} {
+	for _, sp := range []*SpanHandle{&SpanFit, &SpanHyperopt, &SpanScore, &SpanSelect, &SpanRun, &SpanFeed, &SpanEvaluate} {
 		sp.hist.Store(r.Histogram(Labeled(MetricLoopPhaseSeconds, "phase", sp.name),
 			"AL loop phase duration (seconds)", LatencyBuckets))
 	}
@@ -341,7 +345,7 @@ func unbindHandles() {
 		h.p.Store(nil)
 	}
 	for _, sp := range []*SpanHandle{
-		&SpanFit, &SpanHyperopt, &SpanScore, &SpanSelect, &SpanRun, &SpanFeed,
+		&SpanFit, &SpanHyperopt, &SpanScore, &SpanSelect, &SpanRun, &SpanFeed, &SpanEvaluate,
 		&SpanCheckpointWrite, &SpanCheckpointRestore, &SpanShardScore,
 	} {
 		sp.hist.Store(nil)

@@ -168,6 +168,7 @@ const (
 	PhaseSelect   = "select"
 	PhaseRun      = "run"
 	PhaseFeed     = "feed"
+	PhaseEvaluate = "evaluate"
 )
 
 // AllMetricNames lists every metric series this process can emit, with
@@ -181,6 +182,7 @@ var AllMetricNames = []string{
 	Labeled(MetricLoopPhaseSeconds, "phase", PhaseSelect),
 	Labeled(MetricLoopPhaseSeconds, "phase", PhaseRun),
 	Labeled(MetricLoopPhaseSeconds, "phase", PhaseFeed),
+	Labeled(MetricLoopPhaseSeconds, "phase", PhaseEvaluate),
 	MetricCampaignViolations,
 	MetricCampaignCumCost,
 	MetricCampaignCumRegret,

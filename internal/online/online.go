@@ -716,10 +716,14 @@ func (c *campaign) Execute(pick int) (engine.Execution, error) {
 func (c *campaign) Record(pick int, cands *engine.Candidates, e engine.Execution, violated bool, cumCost, cumRegret float64) {
 	res := c.res
 	res.Jobs = append(res.Jobs, e.Job)
+	// The one-step-ahead evaluation behind OneStepMAPE: the scored
+	// prediction for the pick beside its measured outcome.
+	sp := obs.SpanEvaluate.Start()
 	res.PredictedCost = append(res.PredictedCost, math.Pow(10, cands.MuCost[pick]))
 	res.ActualCost = append(res.ActualCost, e.Job.CostNH)
 	res.PredictedMem = append(res.PredictedMem, math.Pow(10, cands.MuMem[pick]))
 	res.ActualMem = append(res.ActualMem, e.Job.MemMB)
+	sp.End()
 	res.CumCost = append(res.CumCost, cumCost)
 	res.CumRegret = append(res.CumRegret, cumRegret)
 	res.Violation = append(res.Violation, violated)

@@ -14,9 +14,17 @@ import (
 	"alamr/internal/mat"
 )
 
-// Objective evaluates a function and its gradient at x. The returned gradient
-// must be a fresh slice (callers retain it across iterations).
-type Objective func(x []float64) (f float64, grad []float64)
+// Objective evaluates a function at x, value first: it returns f(x) and a
+// thunk that computes the gradient at the same x on demand. Minimizers call
+// the thunk only where they read the gradient (an accepted line-search
+// trial, the starting point), so trial points rejected on their value alone
+// never pay for a gradient.
+//
+// The thunk is valid only until the next call of the objective; an
+// implementation may reuse buffers across evaluations and should panic when
+// a stale thunk is called. The gradient it returns must be a fresh slice
+// (callers retain it across iterations).
+type Objective func(x []float64) (f float64, grad func() []float64)
 
 // Func evaluates a function value only (for derivative-free methods).
 type Func func(x []float64) float64
@@ -62,6 +70,8 @@ func (c *LBFGSConfig) setDefaults() {
 // acceptable step; the best point seen so far is still returned in Result.
 var ErrLineSearchFailed = errors.New("optimize: line search failed")
 
+var errNotFiniteStart = errors.New("optimize: objective not finite at the starting point")
+
 // LBFGS minimizes obj starting from x0.
 //
 // The implementation follows Nocedal & Wright (Numerical Optimization,
@@ -72,11 +82,15 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 	cfg.setDefaults()
 	n := len(x0)
 	x := mat.CopyVec(x0)
-	f, g := obj(x)
+	f, grad := obj(x)
 	evals := 1
 	res := Result{X: mat.CopyVec(x), F: f, Evals: evals}
-	if !isFinite(f) || !mat.AllFinite(g) {
-		return res, errors.New("optimize: objective not finite at the starting point")
+	if !isFinite(f) {
+		return res, errNotFiniteStart
+	}
+	g := grad()
+	if !mat.AllFinite(g) {
+		return res, errNotFiniteStart
 	}
 
 	type pair struct {
@@ -166,6 +180,9 @@ func LBFGS(obj Objective, x0 []float64, cfg LBFGSConfig) (Result, error) {
 // wolfeLineSearch finds a step satisfying the strong Wolfe conditions along
 // dir from x, given f0=f(x), g0=∇f(x) and the directional derivative d0<0.
 // It implements the bracket/zoom scheme of Nocedal & Wright, Algorithm 3.5/3.6.
+// A trial's gradient is requested only once its value has passed the
+// sufficient-decrease test (or when it is returned), so rejected trials cost
+// one function value each.
 func wolfeLineSearch(obj Objective, x, dir []float64, f0 float64, g0 []float64, d0, step float64) (f float64, g []float64, alpha float64, evals int, err error) {
 	const (
 		c1       = 1e-4
@@ -173,36 +190,36 @@ func wolfeLineSearch(obj Objective, x, dir []float64, f0 float64, g0 []float64, 
 		maxIter  = 40
 		alphaMax = 1e10
 	)
-	n := len(x)
-	xt := make([]float64, n)
-	eval := func(a float64) (float64, []float64, float64) {
+	xt := make([]float64, len(x))
+	eval := func(a float64) (float64, func() []float64) {
 		mat.AxpyTo(xt, a, dir, x)
-		fv, gv := obj(xt)
 		evals++
-		return fv, gv, mat.Dot(gv, dir)
+		return obj(xt)
 	}
 
-	alphaPrev, fPrev, dPrev := 0.0, f0, d0
+	alphaPrev, fPrev := 0.0, f0
 	a := step
-	var fa, da float64
-	var ga []float64
 	for i := 0; i < maxIter; i++ {
-		fa, ga, da = eval(a)
+		fa, grad := eval(a)
 		if !isFinite(fa) {
 			// Overshot into a non-finite region: shrink hard.
 			a = 0.5 * (alphaPrev + a)
 			continue
 		}
 		if fa > f0+c1*a*d0 || (i > 0 && fa >= fPrev) {
-			return zoom(obj, eval, x, dir, f0, d0, alphaPrev, a, fPrev, fa, dPrev, &evals)
+			fz, gz, az, zerr := zoom(eval, f0, d0, dir, alphaPrev, a, fPrev)
+			return fz, gz, az, evals, zerr
 		}
+		ga := grad()
+		da := mat.Dot(ga, dir)
 		if math.Abs(da) <= -c2*d0 {
 			return fa, ga, a, evals, nil
 		}
 		if da >= 0 {
-			return zoom(obj, eval, x, dir, f0, d0, a, alphaPrev, fa, fPrev, da, &evals)
+			fz, gz, az, zerr := zoom(eval, f0, d0, dir, a, alphaPrev, fa)
+			return fz, gz, az, evals, zerr
 		}
-		alphaPrev, fPrev, dPrev = a, fa, da
+		alphaPrev, fPrev = a, fa
 		a *= 2
 		if a > alphaMax {
 			break
@@ -212,37 +229,42 @@ func wolfeLineSearch(obj Objective, x, dir []float64, f0 float64, g0 []float64, 
 }
 
 // zoom narrows a bracketing interval [lo,hi] until a strong-Wolfe step is
-// found.
-func zoom(obj Objective, eval func(float64) (float64, []float64, float64), x, dir []float64, f0, d0, lo, hi, fLo, fHi, dLo float64, evals *int) (float64, []float64, float64, int, error) {
+// found. Like the bracketing phase, it reads a trial's gradient only after
+// the trial has passed the sufficient-decrease test.
+func zoom(eval func(float64) (float64, func() []float64), f0, d0 float64, dir []float64, lo, hi, fLo float64) (float64, []float64, float64, error) {
 	const (
 		c1      = 1e-4
 		c2      = 0.9
 		maxIter = 40
 	)
-	_ = fHi
 	for i := 0; i < maxIter; i++ {
 		a := 0.5 * (lo + hi)
-		fa, ga, da := eval(a)
+		fa, grad := eval(a)
+		var ga []float64
 		if fa > f0+c1*a*d0 || fa >= fLo {
 			hi = a
 		} else {
+			ga = grad()
+			da := mat.Dot(ga, dir)
 			if math.Abs(da) <= -c2*d0 {
-				return fa, ga, a, *evals, nil
+				return fa, ga, a, nil
 			}
 			if da*(hi-lo) >= 0 {
 				hi = lo
 			}
-			lo, fLo, dLo = a, fa, da
+			lo, fLo = a, fa
 		}
 		if math.Abs(hi-lo) < 1e-14*(math.Abs(lo)+1) {
 			if fa <= f0+c1*a*d0 {
-				return fa, ga, a, *evals, nil
+				if ga == nil {
+					ga = grad()
+				}
+				return fa, ga, a, nil
 			}
 			break
 		}
 	}
-	_ = dLo
-	return 0, nil, 0, *evals, ErrLineSearchFailed
+	return 0, nil, 0, ErrLineSearchFailed
 }
 
 func supNorm(x []float64) float64 {

@@ -22,7 +22,8 @@ type MultiStartConfig struct {
 
 // MultiStart minimizes obj from each warm start and from cfg.Restarts random
 // points, returning the best result found. rng must be non-nil when
-// cfg.Restarts > 0.
+// cfg.Restarts > 0. The Nelder–Mead fallback and the last-resort evaluation
+// read values only and never request a gradient.
 func MultiStart(obj Objective, warmStarts [][]float64, cfg MultiStartConfig, rng *rand.Rand) Result {
 	best := Result{F: math.Inf(1)}
 	try := func(x0 []float64) {

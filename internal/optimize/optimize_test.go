@@ -7,8 +7,20 @@ import (
 	"testing/quick"
 )
 
+// eagerFunc is a test objective in the value-and-gradient form.
+type eagerFunc func(x []float64) (float64, []float64)
+
+// eager adapts an eagerFunc to Objective by computing the gradient at every
+// evaluation, the behaviour of the optimizer before gradients became lazy.
+func eager(f eagerFunc) Objective {
+	return func(x []float64) (float64, func() []float64) {
+		v, g := f(x)
+		return v, func() []float64 { return g }
+	}
+}
+
 // quadratic builds f(x) = Σ wᵢ (xᵢ-cᵢ)², a strictly convex bowl.
-func quadratic(w, c []float64) Objective {
+func quadratic(w, c []float64) eagerFunc {
 	return func(x []float64) (float64, []float64) {
 		var f float64
 		g := make([]float64, len(x))
@@ -34,7 +46,7 @@ func rosenbrock(x []float64) (float64, []float64) {
 
 func TestLBFGSQuadratic(t *testing.T) {
 	obj := quadratic([]float64{1, 10, 100}, []float64{3, -2, 0.5})
-	res, err := LBFGS(obj, []float64{0, 0, 0}, LBFGSConfig{})
+	res, err := LBFGS(eager(obj), []float64{0, 0, 0}, LBFGSConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +62,7 @@ func TestLBFGSQuadratic(t *testing.T) {
 }
 
 func TestLBFGSRosenbrock(t *testing.T) {
-	res, err := LBFGS(rosenbrock, []float64{-1.2, 1}, LBFGSConfig{MaxIter: 500})
+	res, err := LBFGS(eager(rosenbrock), []float64{-1.2, 1}, LBFGSConfig{MaxIter: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +73,7 @@ func TestLBFGSRosenbrock(t *testing.T) {
 
 func TestLBFGSAlreadyAtMinimum(t *testing.T) {
 	obj := quadratic([]float64{1, 1}, []float64{0, 0})
-	res, err := LBFGS(obj, []float64{0, 0}, LBFGSConfig{})
+	res, err := LBFGS(eager(obj), []float64{0, 0}, LBFGSConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +89,7 @@ func TestLBFGSNonFiniteStart(t *testing.T) {
 	obj := func(x []float64) (float64, []float64) {
 		return math.NaN(), []float64{0}
 	}
-	if _, err := LBFGS(obj, []float64{1}, LBFGSConfig{}); err == nil {
+	if _, err := LBFGS(eager(obj), []float64{1}, LBFGSConfig{}); err == nil {
 		t.Fatal("expected error for NaN objective")
 	}
 }
@@ -91,7 +103,7 @@ func TestLBFGSHandlesLogBarrier(t *testing.T) {
 		}
 		return x[0] - math.Log(x[0]), []float64{1 - 1/x[0]}
 	}
-	res, err := LBFGS(obj, []float64{5}, LBFGSConfig{MaxIter: 300})
+	res, err := LBFGS(eager(obj), []float64{5}, LBFGSConfig{MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +156,7 @@ func TestMultiStartFindsGlobalBasin(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	// Warm start near the wrong (local) minimum at x≈+1.
-	res := MultiStart(obj, [][]float64{{0.9}}, MultiStartConfig{
+	res := MultiStart(eager(obj), [][]float64{{0.9}}, MultiStartConfig{
 		Restarts: 20,
 		Lower:    []float64{-3},
 		Upper:    []float64{3},
@@ -156,7 +168,7 @@ func TestMultiStartFindsGlobalBasin(t *testing.T) {
 
 func TestMultiStartWarmOnly(t *testing.T) {
 	obj := quadratic([]float64{1}, []float64{7})
-	res := MultiStart(obj, [][]float64{{0}}, MultiStartConfig{}, nil)
+	res := MultiStart(eager(obj), [][]float64{{0}}, MultiStartConfig{}, nil)
 	if math.Abs(res.X[0]-7) > 1e-5 {
 		t.Fatalf("X = %v want 7", res.X)
 	}
@@ -169,7 +181,7 @@ func TestMultiStartAllDivergeFallback(t *testing.T) {
 	obj := func(x []float64) (float64, []float64) {
 		return math.Inf(1), []float64{1}
 	}
-	res := MultiStart(obj, [][]float64{{2}}, MultiStartConfig{}, nil)
+	res := MultiStart(eager(obj), [][]float64{{2}}, MultiStartConfig{}, nil)
 	if res.X == nil {
 		t.Fatal("MultiStart returned nil X")
 	}
@@ -191,7 +203,7 @@ func TestLBFGSQuadraticProperty(t *testing.T) {
 			c[i] = rng.NormFloat64() * 3
 			x0[i] = rng.NormFloat64() * 3
 		}
-		res, err := LBFGS(quadratic(w, c), x0, LBFGSConfig{MaxIter: 400})
+		res, err := LBFGS(eager(quadratic(w, c)), x0, LBFGSConfig{MaxIter: 400})
 		if err != nil {
 			return false
 		}
@@ -236,7 +248,7 @@ func TestNelderMeadMonotoneProperty(t *testing.T) {
 
 func BenchmarkLBFGSRosenbrock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := LBFGS(rosenbrock, []float64{-1.2, 1}, LBFGSConfig{MaxIter: 500}); err != nil {
+		if _, err := LBFGS(eager(rosenbrock), []float64{-1.2, 1}, LBFGSConfig{MaxIter: 500}); err != nil {
 			b.Fatal(err)
 		}
 	}
