@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke
+.PHONY: all build test ci bench bench-al bench-scale bench-scale-full bench-scale-smoke fmt vet race chaos chaos-remote obs-check sweep-smoke serve-smoke docs-check fidelity-smoke fuzz-smoke
 
 all: build
 
@@ -86,6 +86,13 @@ fidelity-smoke:
 		-run 'TestFidelitySmoke|TestFidelityStudy|TestReplayFidelity|TestMultiFidOneLevelBitwiseExactGP|TestMultiFidRhoZeroMatchesIndependentGPs|TestOnlineFidelityEndToEnd|TestFidelityCampaignOverFleet' \
 		./internal/engine ./internal/gp ./internal/online ./internal/remotelab
 
+# fuzz-smoke fuzzes the campaign-spec parser for 10s from the committed
+# seed corpus (examples/specs plus the round-trip cases, and any crasher
+# kept under internal/engine/testdata/fuzz): no input may panic it, and
+# every accepted spec must re-marshal byte-stably.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseCampaignSpec -fuzztime 10s ./internal/engine
+
 # docs-check keeps the documentation honest: every examples/specs file is
 # canonical-form, every flag README.md/API.md shows exists in the binary it
 # is shown on, and every alamr_* metric the docs mention is cataloged in
@@ -95,11 +102,11 @@ docs-check:
 
 # ci is the gate for every PR: formatting, vet, full build, full test suite,
 # then the race detector over the parallel-heavy packages, then the
-# observability, sweep, serving, docs, and pool-scaling gates. The race
+# observability, sweep, serving, docs, pool-scaling and spec-fuzzing gates. The race
 # target already covers ./internal/gp and ./internal/engine, so the
 # cache-equivalence and streamed-pool tests run under the race detector here
 # too.
-ci: fmt vet build test race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke
+ci: fmt vet build test race obs-check sweep-smoke fidelity-smoke serve-smoke docs-check chaos-remote bench-scale-smoke fuzz-smoke
 
 # bench runs the linear-algebra / GP hot-path benchmarks and emits the raw
 # `go test -json` event stream to BENCH_gp.json (one JSON object per line;

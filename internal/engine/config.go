@@ -39,12 +39,9 @@ type LoopConfig struct {
 	// heuristic (paper §V-D, third discussion point).
 	Stable *StableStopConfig
 	// Model selects the surrogate family from the model registry ("exact",
-	// "sparse", "treed"); nil means the exact GP, preserving the historical
-	// default exactly.
+	// "sparse", "treed", "multifid"); nil means the exact GP (multifid when
+	// Fidelity is set), preserving the historical default exactly.
 	Model *ModelSpec
-	// NewModel overrides the surrogate constructor entirely (it wins over
-	// Model). Use for custom gp.Model implementations not in the registry.
-	NewModel func() gp.Model
 	// Fidelity turns the loop multi-fidelity: the partition is expected to
 	// span the declared MaxLevel ladder, the default surrogate becomes the
 	// co-kriging "multifid" model, candidate sets carry a FidelityView, and
@@ -60,7 +57,8 @@ type LoopConfig struct {
 	// DirectScoring disables the incremental posterior cache and re-scores
 	// the remaining pool with full GP predictions every iteration — the
 	// O(m·n²) reference path the cache is pinned against in the equivalence
-	// tests. Non-*gp.GP surrogates always use this path.
+	// tests. Every surrogate family has an incremental pool cache, so
+	// without this flag the cache path always runs.
 	DirectScoring bool
 	// Campaign optionally attaches per-campaign labeled instruments so
 	// concurrent sweeps keep separable metric series; nil records into the
@@ -70,22 +68,6 @@ type LoopConfig struct {
 	// every round boundary and a true return ends the trajectory with
 	// StopCancelled (partial results intact, no error).
 	Stop func() bool
-}
-
-// newModel builds one surrogate instance: the NewModel override, then the
-// registry entry Model names, then the exact GP.
-func (c *LoopConfig) newModel() (gp.Model, error) {
-	if c.NewModel != nil {
-		return c.NewModel(), nil
-	}
-	deps := ModelDeps{Kernel: c.Kernel, GP: c.GP, Fidelity: c.Fidelity}
-	if c.Model != nil {
-		return BuildModel(*c.Model, deps)
-	}
-	if c.Fidelity != nil {
-		return BuildModel(ModelSpec{Name: ModelMultiFid}, deps)
-	}
-	return gp.New(c.Kernel, c.GP), nil
 }
 
 func (c *LoopConfig) setDefaults() {

@@ -247,8 +247,3 @@ func (f *fidelityRuntime) level(maxLevel int) (int, error) {
 	}
 	return li, nil
 }
-
-func init() {
-	RegisterPolicy("costperinfo", func(PolicySpec) (Policy, error) { return CostPerInfo{}, nil })
-	RegisterPolicy("cpi", func(PolicySpec) (Policy, error) { return CostPerInfo{}, nil })
-}

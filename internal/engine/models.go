@@ -42,21 +42,44 @@ type ModelDeps struct {
 	Fidelity *FidelitySpec
 }
 
-var modelReg = map[string]func(ModelSpec, ModelDeps) (gp.Model, error){}
-
-// RegisterModel adds (or replaces) a surrogate constructor under name.
-func RegisterModel(name string, build func(ModelSpec, ModelDeps) (gp.Model, error)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	modelReg[normName(name)] = build
+// modelReg is the closed surrogate set: every family here has a
+// PredictInto/PredictIntoSerial path and a gp.NewPoolCache cache, which
+// TestEveryRegistryEntryConstructible pins.
+var modelReg = map[string]func(ModelSpec, ModelDeps) (gp.Model, error){
+	ModelExact: func(_ ModelSpec, d ModelDeps) (gp.Model, error) {
+		return gp.New(d.Kernel, d.GP), nil
+	},
+	ModelSparse: func(s ModelSpec, d ModelDeps) (gp.Model, error) {
+		k := s.Inducing
+		if k <= 0 {
+			k = 64
+		}
+		return gp.NewSparse(d.Kernel, d.GP, k), nil
+	},
+	ModelTreed: func(s ModelSpec, d ModelDeps) (gp.Model, error) {
+		leaf := s.LeafSize
+		if leaf <= 0 {
+			leaf = 64
+		}
+		t := gp.NewTreed(d.Kernel, d.GP, leaf)
+		if s.Rebalance > 0 {
+			t.SetRebalance(s.Rebalance)
+		}
+		return t, nil
+	},
+	ModelMultiFid: func(_ ModelSpec, d ModelDeps) (gp.Model, error) {
+		if d.Fidelity == nil {
+			return nil, fmt.Errorf("engine: model %q needs a fidelity ladder (spec %q section)", ModelMultiFid, "fidelity")
+		}
+		return gp.NewMultiFid(d.Kernel, d.GP, gp.MultiFidConfig{
+			Dim:    dataset.FidelityFeature,
+			Ladder: d.Fidelity.ScaledLadder(),
+		})
+	},
 }
 
 // ModelNames lists the registered surrogate names, sorted.
-func ModelNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return sortedKeys(modelReg)
-}
+func ModelNames() []string { return sortedKeys(modelReg) }
 
 // BuildModel constructs the surrogate a spec names. An empty name means
 // ModelExact. Unknown names report the registered alternatives.
@@ -65,21 +88,32 @@ func BuildModel(s ModelSpec, deps ModelDeps) (gp.Model, error) {
 	if name == "" {
 		name = ModelExact
 	}
-	regMu.RLock()
 	build, ok := modelReg[normName(name)]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown model %q (registered: %s)", s.Name, strings.Join(ModelNames(), ", "))
 	}
 	return build(s, deps)
 }
 
+// NewSurrogate builds one unfitted campaign surrogate: the family spec
+// names when set, else the co-kriging multifid model when deps carries a
+// fidelity ladder (a plain GP cannot tell the ladder's rungs apart), else
+// the exact GP. Replay (LoopConfig) and online campaigns both build here.
+func NewSurrogate(spec *ModelSpec, deps ModelDeps) (gp.Model, error) {
+	s := ModelSpec{Name: ModelExact}
+	switch {
+	case spec != nil:
+		s = *spec
+	case deps.Fidelity != nil:
+		s.Name = ModelMultiFid
+	}
+	return BuildModel(s, deps)
+}
+
 // validateModelSpec checks a spec's structure without constructing anything
 // heavyweight (Validate must stay cheap and side-effect free).
 func validateModelSpec(s *ModelSpec) error {
-	regMu.RLock()
 	_, ok := modelReg[normName(s.Name)]
-	regMu.RUnlock()
 	if s.Name != "" && !ok {
 		return fmt.Errorf("engine: unknown model %q (registered: %s)", s.Name, strings.Join(ModelNames(), ", "))
 	}
@@ -93,37 +127,4 @@ func validateModelSpec(s *ModelSpec) error {
 		return fmt.Errorf("engine: model rebalance must be >= 0, got %d", s.Rebalance)
 	}
 	return nil
-}
-
-func init() {
-	RegisterModel(ModelExact, func(_ ModelSpec, d ModelDeps) (gp.Model, error) {
-		return gp.New(d.Kernel, d.GP), nil
-	})
-	RegisterModel(ModelSparse, func(s ModelSpec, d ModelDeps) (gp.Model, error) {
-		k := s.Inducing
-		if k <= 0 {
-			k = 64
-		}
-		return gp.NewSparse(d.Kernel, d.GP, k), nil
-	})
-	RegisterModel(ModelTreed, func(s ModelSpec, d ModelDeps) (gp.Model, error) {
-		leaf := s.LeafSize
-		if leaf <= 0 {
-			leaf = 64
-		}
-		t := gp.NewTreed(d.Kernel, d.GP, leaf)
-		if s.Rebalance > 0 {
-			t.SetRebalance(s.Rebalance)
-		}
-		return t, nil
-	})
-	RegisterModel(ModelMultiFid, func(_ ModelSpec, d ModelDeps) (gp.Model, error) {
-		if d.Fidelity == nil {
-			return nil, fmt.Errorf("engine: model %q needs a fidelity ladder (spec %q section)", ModelMultiFid, "fidelity")
-		}
-		return gp.NewMultiFid(d.Kernel, d.GP, gp.MultiFidConfig{
-			Dim:    dataset.FidelityFeature,
-			Ladder: d.Fidelity.ScaledLadder(),
-		})
-	})
 }

@@ -13,18 +13,84 @@ import (
 
 // The registries map spec names to constructors so campaigns are fully
 // describable as data (CampaignSpec) and commands shrink to flag→spec
-// translation. All registries are safe for concurrent use; names are
-// case-insensitive. Registration normally happens from init functions —
-// engine registers its own builtins below, internal/online contributes the
-// "sim" lab.
+// translation. Names are case-insensitive. The policy, kernel, strategy and
+// model registries are fixed package-level tables, read without a lock.
+// The lab registry stays open and guarded by regMu: internal/online
+// contributes the "sim" lab and internal/remotelab the "remote" lab.
 
 var (
-	regMu       sync.RWMutex
-	policyReg   = map[string]func(PolicySpec) (Policy, error){}
-	kernelReg   = map[string]func(KernelSpec) (kernel.Kernel, error){}
-	strategyReg = map[string]BatchStrategy{}
-	labReg      = map[string]func(LabSpec, LabDeps) (Lab, error){}
+	regMu  sync.RWMutex
+	labReg = map[string]func(LabSpec, LabDeps) (Lab, error){
+		"replay": func(_ LabSpec, deps LabDeps) (Lab, error) {
+			if deps.Dataset == nil {
+				return nil, errors.New("engine: the replay lab needs LabDeps.Dataset")
+			}
+			return NewReplayLab(deps.Dataset), nil
+		},
+	}
 )
+
+var policyReg = map[string]func(PolicySpec) (Policy, error){
+	"randuniform":         simplePolicy(RandUniform{}),
+	"uniform":             simplePolicy(RandUniform{}),
+	"maxsigma":            simplePolicy(MaxSigma{}),
+	"minpred":             simplePolicy(MinPred{}),
+	"randgoodness":        func(s PolicySpec) (Policy, error) { return RandGoodness{Base: s.Base}, nil },
+	"goodness":            func(s PolicySpec) (Policy, error) { return RandGoodness{Base: s.Base}, nil },
+	"rgma":                func(s PolicySpec) (Policy, error) { return RGMA{Base: s.Base}, nil },
+	"expectedimprovement": func(s PolicySpec) (Policy, error) { return ExpectedImprovement{Xi: s.Xi}, nil },
+	"ei":                  func(s PolicySpec) (Policy, error) { return ExpectedImprovement{Xi: s.Xi}, nil },
+	"costperinfo":         simplePolicy(CostPerInfo{}),
+	"cpi":                 simplePolicy(CostPerInfo{}),
+}
+
+func simplePolicy(p Policy) func(PolicySpec) (Policy, error) {
+	return func(PolicySpec) (Policy, error) { return p, nil }
+}
+
+var kernelReg = map[string]func(KernelSpec) (kernel.Kernel, error){
+	"rbf": func(s KernelSpec) (kernel.Kernel, error) {
+		ls, amp := s.LengthScale, s.Amplitude
+		if ls <= 0 {
+			ls = 0.5
+		}
+		if amp <= 0 {
+			amp = 1
+		}
+		return kernel.NewRBF(ls, amp), nil
+	},
+	"ard-rbf": func(s KernelSpec) (kernel.Kernel, error) {
+		if len(s.LengthScales) == 0 {
+			return nil, errors.New("engine: kernel ard-rbf needs length_scales")
+		}
+		amp := s.Amplitude
+		if amp <= 0 {
+			amp = 1
+		}
+		return kernel.NewARDRBF(s.LengthScales, amp), nil
+	},
+	"matern32": maternKernel(1.5),
+	"matern52": maternKernel(2.5),
+}
+
+func maternKernel(nu float64) func(KernelSpec) (kernel.Kernel, error) {
+	return func(s KernelSpec) (kernel.Kernel, error) {
+		ls, amp := s.LengthScale, s.Amplitude
+		if ls <= 0 {
+			ls = 0.5
+		}
+		if amp <= 0 {
+			amp = 1
+		}
+		return kernel.NewMatern(nu, ls, amp), nil
+	}
+}
+
+var strategyReg = map[string]BatchStrategy{
+	"independent":   BatchIndependent,
+	"constant-liar": BatchConstantLiar,
+	"constant_liar": BatchConstantLiar,
+}
 
 // LabDeps carries the runtime dependencies a lab constructor may need
 // beyond its spec — notably the offline dataset for the replay lab.
@@ -33,27 +99,6 @@ type LabDeps struct {
 }
 
 func normName(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
-
-// RegisterPolicy adds (or replaces) a policy constructor under name.
-func RegisterPolicy(name string, build func(PolicySpec) (Policy, error)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	policyReg[normName(name)] = build
-}
-
-// RegisterKernel adds (or replaces) a kernel constructor under name.
-func RegisterKernel(name string, build func(KernelSpec) (kernel.Kernel, error)) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	kernelReg[normName(name)] = build
-}
-
-// RegisterStrategy adds (or replaces) a batch-strategy name.
-func RegisterStrategy(name string, s BatchStrategy) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	strategyReg[normName(name)] = s
-}
 
 // RegisterLab adds (or replaces) a lab constructor under name.
 func RegisterLab(name string, build func(LabSpec, LabDeps) (Lab, error)) {
@@ -72,25 +117,13 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // PolicyNames lists the registered policy names, sorted.
-func PolicyNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return sortedKeys(policyReg)
-}
+func PolicyNames() []string { return sortedKeys(policyReg) }
 
 // KernelNames lists the registered kernel names, sorted.
-func KernelNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return sortedKeys(kernelReg)
-}
+func KernelNames() []string { return sortedKeys(kernelReg) }
 
 // StrategyNames lists the registered batch-strategy names, sorted.
-func StrategyNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return sortedKeys(strategyReg)
-}
+func StrategyNames() []string { return sortedKeys(strategyReg) }
 
 // LabNames lists the registered lab names, sorted.
 func LabNames() []string {
@@ -102,9 +135,7 @@ func LabNames() []string {
 // BuildPolicy constructs the policy a spec names. Unknown names report the
 // registered alternatives.
 func BuildPolicy(s PolicySpec) (Policy, error) {
-	regMu.RLock()
 	build, ok := policyReg[normName(s.Name)]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown policy %q (registered: %s)", s.Name, strings.Join(PolicyNames(), ", "))
 	}
@@ -113,9 +144,7 @@ func BuildPolicy(s PolicySpec) (Policy, error) {
 
 // BuildKernel constructs the kernel a spec names.
 func BuildKernel(s KernelSpec) (kernel.Kernel, error) {
-	regMu.RLock()
 	build, ok := kernelReg[normName(s.Name)]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown kernel %q (registered: %s)", s.Name, strings.Join(KernelNames(), ", "))
 	}
@@ -124,9 +153,7 @@ func BuildKernel(s KernelSpec) (kernel.Kernel, error) {
 
 // BuildStrategy resolves a batch-strategy name.
 func BuildStrategy(name string) (BatchStrategy, error) {
-	regMu.RLock()
 	s, ok := strategyReg[normName(name)]
-	regMu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown batch strategy %q (registered: %s)", name, strings.Join(StrategyNames(), ", "))
 	}
@@ -157,65 +184,4 @@ func BuildLab(s LabSpec, deps LabDeps) (Lab, error) {
 		return nil, fmt.Errorf("engine: unknown lab %q (registered: %s)", s.Name, strings.Join(LabNames(), ", "))
 	}
 	return build(s, deps)
-}
-
-func init() {
-	simple := func(p Policy) func(PolicySpec) (Policy, error) {
-		return func(PolicySpec) (Policy, error) { return p, nil }
-	}
-	RegisterPolicy("randuniform", simple(RandUniform{}))
-	RegisterPolicy("uniform", simple(RandUniform{}))
-	RegisterPolicy("maxsigma", simple(MaxSigma{}))
-	RegisterPolicy("minpred", simple(MinPred{}))
-	RegisterPolicy("randgoodness", func(s PolicySpec) (Policy, error) { return RandGoodness{Base: s.Base}, nil })
-	RegisterPolicy("goodness", func(s PolicySpec) (Policy, error) { return RandGoodness{Base: s.Base}, nil })
-	RegisterPolicy("rgma", func(s PolicySpec) (Policy, error) { return RGMA{Base: s.Base}, nil })
-	RegisterPolicy("expectedimprovement", func(s PolicySpec) (Policy, error) { return ExpectedImprovement{Xi: s.Xi}, nil })
-	RegisterPolicy("ei", func(s PolicySpec) (Policy, error) { return ExpectedImprovement{Xi: s.Xi}, nil })
-
-	RegisterKernel("rbf", func(s KernelSpec) (kernel.Kernel, error) {
-		ls, amp := s.LengthScale, s.Amplitude
-		if ls <= 0 {
-			ls = 0.5
-		}
-		if amp <= 0 {
-			amp = 1
-		}
-		return kernel.NewRBF(ls, amp), nil
-	})
-	RegisterKernel("ard-rbf", func(s KernelSpec) (kernel.Kernel, error) {
-		if len(s.LengthScales) == 0 {
-			return nil, errors.New("engine: kernel ard-rbf needs length_scales")
-		}
-		amp := s.Amplitude
-		if amp <= 0 {
-			amp = 1
-		}
-		return kernel.NewARDRBF(s.LengthScales, amp), nil
-	})
-	matern := func(nu float64) func(KernelSpec) (kernel.Kernel, error) {
-		return func(s KernelSpec) (kernel.Kernel, error) {
-			ls, amp := s.LengthScale, s.Amplitude
-			if ls <= 0 {
-				ls = 0.5
-			}
-			if amp <= 0 {
-				amp = 1
-			}
-			return kernel.NewMatern(nu, ls, amp), nil
-		}
-	}
-	RegisterKernel("matern32", matern(1.5))
-	RegisterKernel("matern52", matern(2.5))
-
-	RegisterStrategy("independent", BatchIndependent)
-	RegisterStrategy("constant-liar", BatchConstantLiar)
-	RegisterStrategy("constant_liar", BatchConstantLiar)
-
-	RegisterLab("replay", func(_ LabSpec, deps LabDeps) (Lab, error) {
-		if deps.Dataset == nil {
-			return nil, errors.New("engine: the replay lab needs LabDeps.Dataset")
-		}
-		return NewReplayLab(deps.Dataset), nil
-	})
 }

@@ -247,7 +247,8 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 	memTest := ds.Mem(part.Test)
 
 	spFit := obs.SpanFit.Start()
-	gpCost, err := cfg.newModel()
+	deps := ModelDeps{Kernel: cfg.Kernel, GP: cfg.GP, Fidelity: cfg.Fidelity}
+	gpCost, err := NewSurrogate(cfg.Model, deps)
 	if err != nil {
 		spFit.End()
 		return nil, err
@@ -256,7 +257,7 @@ func runReplay(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, q in
 		spFit.End()
 		return nil, fmt.Errorf("engine: initial cost fit: %w", err)
 	}
-	gpMem, err := cfg.newModel()
+	gpMem, err := NewSurrogate(cfg.Model, deps)
 	if err != nil {
 		spFit.End()
 		return nil, err

@@ -34,8 +34,9 @@ type scorer interface {
 // for exact GPs (bitwise-identical to direct Predict — an algebraic
 // reformulation, not an approximation), the Sherman-Morrison sparse cache
 // for SoR surrogates (bitwise on rebuild, ≤1e-8 across incremental
-// extends), and the per-leaf-routed cache for treed surrogates (bitwise,
-// inherited from the per-leaf ScoringCaches).
+// extends), the per-leaf-routed cache for treed surrogates (bitwise,
+// inherited from the per-leaf ScoringCaches), and the per-level cache for
+// multifid surrogates. Nil caches mean the DirectScoring reference path.
 type poolScorer struct {
 	costModel, memModel gp.Model
 	costCache, memCache gp.PoolCache
@@ -47,16 +48,6 @@ func newPoolScorer(costModel, memModel gp.Model, x *mat.Dense, direct bool) *poo
 	if !direct {
 		s.costCache = gp.NewPoolCache(costModel, x)
 		s.memCache = gp.NewPoolCache(memModel, x)
-		if s.costCache == nil || s.memCache == nil {
-			// Mixed or uncacheable model types: fall back to direct scoring.
-			if s.costCache != nil {
-				s.costCache.Close()
-			}
-			if s.memCache != nil {
-				s.memCache.Close()
-			}
-			s.costCache, s.memCache = nil, nil
-		}
 	}
 	return s
 }

@@ -37,9 +37,10 @@ type CampaignSpec struct {
 	Mode   string      `json:"mode"`
 	Policy PolicySpec  `json:"policy"`
 	Kernel *KernelSpec `json:"kernel,omitempty"`
-	// Model selects the surrogate family ("exact", "sparse", "treed");
-	// omitted means the exact GP, so every historical spec keeps its
-	// behavior (and its goldens) unchanged.
+	// Model selects the surrogate family ("exact", "sparse", "treed",
+	// "multifid"); omitted means the exact GP (multifid when Fidelity is
+	// set), so every historical spec keeps its behavior (and its goldens)
+	// unchanged.
 	Model *ModelSpec `json:"model,omitempty"`
 	Seed  int64      `json:"seed,omitempty"`
 	// MemLimitMB sets L_mem directly; MemLimitPaperRule derives it from the

@@ -2,18 +2,24 @@ package engine
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"alamr/internal/dataset"
 	"alamr/internal/gp"
 	"alamr/internal/kernel"
+	"alamr/internal/mat"
 )
 
-func TestSpecRoundTripByteStable(t *testing.T) {
-	specs := []CampaignSpec{
+// roundTripSpecs covers every optional section of the spec format; the
+// round-trip test and the parser fuzz corpus share it.
+func roundTripSpecs() []CampaignSpec {
+	return []CampaignSpec{
 		{
 			Version: SpecVersion, Name: "full-replay", Mode: ModeReplay,
 			Policy:        PolicySpec{Name: "rgma", Base: 100},
@@ -61,8 +67,10 @@ func TestSpecRoundTripByteStable(t *testing.T) {
 			},
 		},
 	}
-	for _, spec := range specs {
-		spec := spec
+}
+
+func TestSpecRoundTripByteStable(t *testing.T) {
+	for _, spec := range roundTripSpecs() {
 		first, err := spec.Marshal()
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +172,7 @@ func TestUnknownNamesListAlternatives(t *testing.T) {
 
 // TestEveryRegistryEntryConstructible: each registered name must build from
 // a plain spec (ard-rbf additionally needs its length scales, the replay lab
-// its dataset).
+// its dataset, multifid its ladder).
 func TestEveryRegistryEntryConstructible(t *testing.T) {
 	for _, name := range PolicyNames() {
 		if p, err := BuildPolicy(PolicySpec{Name: name}); err != nil || p == nil {
@@ -191,16 +199,57 @@ func TestEveryRegistryEntryConstructible(t *testing.T) {
 			t.Fatalf("lab %s: %v", name, err)
 		}
 	}
+	// The surrogate set is closed: every family, built through the shared
+	// constructor and fitted on a tiny set, must come with a pool cache that
+	// scores like its Predict. A family without a cache cannot register.
 	deps := ModelDeps{Kernel: kernel.NewRBF(0.5, 1), GP: gp.Config{Noise: 0.1}}
+	ladder := &FidelitySpec{Levels: []int{3, 4}}
+	rng := rand.New(rand.NewSource(5))
+	tinyX := func(n int) *mat.Dense {
+		x := mat.NewDense(n, dataset.NumFeatures, nil)
+		for i := 0; i < n; i++ {
+			row := x.Row(i)
+			for j := range row {
+				row[j] = rng.Float64()
+			}
+			// Both rungs populated, so the co-kriging levels all fit.
+			row[dataset.FidelityFeature] = ladder.ScaledLadder()[i%2]
+		}
+		return x
+	}
+	xTrain, pool := tinyX(16), tinyX(9)
+	y := make([]float64, xTrain.Rows())
+	for i := range y {
+		r := xTrain.Row(i)
+		y[i] = math.Sin(3*r[0]) + r[1]*r[dataset.FidelityFeature]
+	}
 	for _, name := range ModelNames() {
 		d := deps
 		if name == ModelMultiFid {
 			// The co-kriging family needs its fidelity ladder.
-			d.Fidelity = &FidelitySpec{Levels: []int{3, 4, 6}}
+			d.Fidelity = ladder
 		}
-		if m, err := BuildModel(ModelSpec{Name: name}, d); err != nil || m == nil {
+		m, err := NewSurrogate(&ModelSpec{Name: name}, d)
+		if err != nil || m == nil {
 			t.Fatalf("model %s: %v", name, err)
 		}
+		m.SetRestarts(0)
+		if err := m.Fit(xTrain, y); err != nil {
+			t.Fatalf("model %s: fit: %v", name, err)
+		}
+		cache := gp.NewPoolCache(m, pool)
+		if cache == nil {
+			t.Fatalf("model %s: no pool cache", name)
+		}
+		mu, sigma := cache.Scores()
+		wantMu, wantSigma := m.Predict(pool)
+		for i := range wantMu {
+			if math.Abs(mu[i]-wantMu[i]) > 1e-12 || math.Abs(sigma[i]-wantSigma[i]) > 1e-12 {
+				t.Fatalf("model %s: candidate %d cache (%g, %g) != Predict (%g, %g)",
+					name, i, mu[i], sigma[i], wantMu[i], wantSigma[i])
+			}
+		}
+		cache.Close()
 	}
 }
 

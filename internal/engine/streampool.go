@@ -249,37 +249,19 @@ type StreamState struct {
 	workers []*streamWorker
 }
 
-// intoPredictor is the allocation-free batched prediction surface; every
-// built-in surrogate (exact, sparse, treed) implements it.
-type intoPredictor interface {
-	PredictInto(xs *mat.Dense, mean, std []float64)
-}
-
-// serialPredictor is the single-goroutine form of intoPredictor, the one a
-// parallel Select's worker lanes call: the lanes are the parallelism, so
-// nested worker-pool dispatch inside the model would only add scheduling
-// churn. All built-in surrogates implement it with per-call scratch,
-// bitwise-equal to PredictInto.
-type serialPredictor interface {
-	PredictIntoSerial(xs *mat.Dense, mean, std []float64)
-}
-
-// predictShard scores one shard, writing into the reusable buffers when the
-// model allows and falling back to the allocating Predict otherwise. serial
-// selects the single-goroutine model path (used inside worker lanes).
+// predictShard scores one shard into the reusable buffers. serial selects
+// the single-goroutine model path, the one a parallel Select's worker lanes
+// call: the lanes are the parallelism, so nested worker-pool dispatch
+// inside the model would only add scheduling churn.
 func predictShard(m gp.Model, xs *mat.Dense, mean, std []float64, serial bool) ([]float64, []float64) {
 	rows := xs.Rows()
+	mean, std = mean[:rows], std[:rows]
 	if serial {
-		if sp, ok := m.(serialPredictor); ok {
-			sp.PredictIntoSerial(xs, mean[:rows], std[:rows])
-			return mean[:rows], std[:rows]
-		}
+		m.PredictIntoSerial(xs, mean, std)
+	} else {
+		m.PredictInto(xs, mean, std)
 	}
-	if ip, ok := m.(intoPredictor); ok {
-		ip.PredictInto(xs, mean[:rows], std[:rows])
-		return mean[:rows], std[:rows]
-	}
-	return m.Predict(xs)
+	return mean, std
 }
 
 // NewStreamState builds a streamed pool over src scored by the two fitted

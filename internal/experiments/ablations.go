@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"alamr/internal/engine"
-	"alamr/internal/gp"
 	"alamr/internal/kernel"
 	"alamr/internal/report"
 	"alamr/internal/stats"
@@ -205,21 +204,15 @@ func SurrogateAblation(opts Options) (*AblationResult, error) {
 	tb := &report.Table{Header: []string{"variant", "final cost RMSE (median)", "final CC (median)"}}
 	variants := []struct {
 		name  string
-		model func() gp.Model
+		model *engine.ModelSpec
 	}{
 		{"flat-gp", nil},
-		{"treed-gp-64", func() gp.Model {
-			return gp.NewTreed(kernel.NewRBF(0.5, 1), gp.Config{Noise: 0.1, NormalizeY: true}, 64)
-		}},
-		{"treed-gp-32", func() gp.Model {
-			return gp.NewTreed(kernel.NewRBF(0.5, 1), gp.Config{Noise: 0.1, NormalizeY: true}, 32)
-		}},
-		{"sparse-gp-48", func() gp.Model {
-			return gp.NewSparse(kernel.NewRBF(0.5, 1), gp.Config{Noise: 0.1, NormalizeY: true}, 48)
-		}},
+		{"treed-gp-64", &engine.ModelSpec{Name: engine.ModelTreed, LeafSize: 64}},
+		{"treed-gp-32", &engine.ModelSpec{Name: engine.ModelTreed, LeafSize: 32}},
+		{"sparse-gp-48", &engine.ModelSpec{Name: engine.ModelSparse, Inducing: 48}},
 	}
 	for _, v := range variants {
-		groups, err := runBatch(opts, opts.Seed+10, ablationSpec(opts, engine.RandGoodness{}), engine.LoopConfig{NewModel: v.model})
+		groups, err := runBatch(opts, opts.Seed+10, ablationSpec(opts, engine.RandGoodness{}), engine.LoopConfig{Model: v.model})
 		if err != nil {
 			return nil, err
 		}

@@ -74,8 +74,6 @@ type MultiFid struct {
 	fitted      bool
 }
 
-var _ Model = (*MultiFid)(nil)
-
 // NewMultiFid creates a multi-fidelity surrogate with the given kernel
 // prototype (cloned per level), per-level GP configuration, and fidelity
 // structure. The ladder must hold at least one strictly ascending dial

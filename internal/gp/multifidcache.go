@@ -8,7 +8,7 @@ import (
 )
 
 // FidelityScorer is the extra scoring surface a multi-fidelity pool cache
-// (or model) exposes beyond PoolCache: the per-candidate top-fidelity
+// exposes beyond PoolCache: the per-candidate top-fidelity
 // information gain that the cost-per-information acquisition divides by
 // predicted cost.
 type FidelityScorer interface {

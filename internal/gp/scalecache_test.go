@@ -1,8 +1,10 @@
 package gp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"alamr/internal/kernel"
@@ -253,7 +255,8 @@ func TestTreedCacheExtendMatchesRebuildBitwise(t *testing.T) {
 }
 
 // TestPoolCacheFactory: NewPoolCache routes each surrogate family to its
-// cache implementation and declines unknown model types.
+// cache implementation and panics, naming the type, on a model outside the
+// closed set.
 func TestPoolCacheFactory(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x, y := scaleTrainingSet(rng, 30)
@@ -284,7 +287,11 @@ func TestPoolCacheFactory(t *testing.T) {
 		t.Fatal("treed model did not get a TreedScoringCache")
 	}
 
-	if c := NewPoolCache(nil, pool); c != nil {
-		t.Fatal("unknown model type should yield a nil cache")
-	}
+	type foreign struct{ *GP }
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "gp.foreign") {
+			t.Fatalf("foreign model type: got panic %v, want one naming gp.foreign", r)
+		}
+	}()
+	NewPoolCache(foreign{ex}, pool)
 }

@@ -49,8 +49,6 @@ type Sparse struct {
 	fitted bool
 }
 
-var _ Model = (*Sparse)(nil)
-
 // NewSparse creates a sparse GP with at most m inducing points (minimum 4).
 func NewSparse(k kernel.Kernel, cfg Config, m int) *Sparse {
 	if m < 4 {

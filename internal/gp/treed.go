@@ -10,16 +10,26 @@ import (
 	"alamr/internal/obs"
 )
 
-// Model is the surrogate interface the active-learning loop consumes. *GP
-// implements it; Treed provides the partitioned variant the paper's future
-// work proposes ("train multiple local performance models simultaneously",
-// §VI; cf. the treed GPR of its related work §II-B).
+// Model is the surrogate interface the active-learning loop consumes. The
+// set of families is closed: the exact *GP, the SoR *Sparse, the
+// partitioned *Treed the paper's future work proposes ("train multiple
+// local performance models simultaneously", §VI; cf. the treed GPR of its
+// related work §II-B), and the co-kriging *MultiFid. Each one also has an
+// incremental pool cache (NewPoolCache), so callers score through the
+// interface with no capability probes or fallback paths.
 type Model interface {
 	Fit(x *mat.Dense, y []float64) error
 	Predict(xs *mat.Dense) (mean, std []float64)
 	// PredictMean returns Predict's mean, bit for bit, without computing
 	// the variance: the form for callers that read the mean only.
 	PredictMean(xs *mat.Dense) []float64
+	// PredictInto is Predict writing into caller-owned buffers of
+	// xs.Rows() entries each, bitwise equal to Predict.
+	PredictInto(xs *mat.Dense, mean, std []float64)
+	// PredictIntoSerial is PredictInto pinned to the calling goroutine (no
+	// worker-pool dispatch), bitwise equal to PredictInto: the form for
+	// callers that are themselves one lane of a parallel dispatch.
+	PredictIntoSerial(xs *mat.Dense, mean, std []float64)
 	Append(x []float64, y float64) error
 	Refit() error
 	Hyperparams() []float64
@@ -28,8 +38,9 @@ type Model interface {
 
 var (
 	_ Model = (*GP)(nil)
-	_ Model = (*Treed)(nil)
 	_ Model = (*Sparse)(nil)
+	_ Model = (*Treed)(nil)
+	_ Model = (*MultiFid)(nil)
 )
 
 // Treed is a partitioned Gaussian process: the input space is recursively

@@ -12,7 +12,7 @@ import (
 // and automatic tracking of the model's Append/Refit mutations. Each
 // surrogate family has its own implementation (ScoringCache for the exact
 // GP, SparseScoringCache for SoR, TreedScoringCache for the partitioned
-// model); NewPoolCache picks it by model type.
+// model, MultiFidCache for co-kriging); NewPoolCache picks it by model type.
 type PoolCache interface {
 	// Scores returns posterior mean and std for every live candidate in
 	// pool order; the slices are owned by the cache.
@@ -32,8 +32,8 @@ var (
 )
 
 // NewPoolCache attaches the model-appropriate incremental scoring cache
-// for the candidate rows of x, or returns nil for model types without one
-// (callers fall back to direct Predict).
+// for the candidate rows of x. Every Model family has one; a model type
+// outside the closed set panics.
 func NewPoolCache(m Model, x *mat.Dense) PoolCache {
 	switch mm := m.(type) {
 	case *GP:
@@ -44,8 +44,9 @@ func NewPoolCache(m Model, x *mat.Dense) PoolCache {
 		return NewTreedScoringCache(mm, x)
 	case *MultiFid:
 		return NewMultiFidCache(mm, x)
+	default:
+		panic(fmt.Sprintf("gp: no pool cache for model type %T", m))
 	}
-	return nil
 }
 
 // TreedScoringCache is the ScoringCache analogue for the treed surrogate:

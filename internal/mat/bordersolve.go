@@ -15,22 +15,12 @@ import "fmt"
 // the factor grows — which is what lets a cache rebuilt at checkpoint-resume
 // time agree bitwise with one maintained incrementally across appends.
 
-// ForwardSolveVecTo solves L y = b into dst without allocating, the
-// scratch-buffer form of ForwardSolveVec used by the prediction hot path.
-// dst and b must both have length Size; dst may alias b.
-func (c *Cholesky) ForwardSolveVecTo(dst, b []float64) {
-	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: ForwardSolveVecTo lengths %d/%d do not match size %d", len(dst), len(b), c.n))
-	}
-	copy(dst, b)
-	c.forwardInPlace(dst)
-}
-
-// ForwardSolveVecToSerial is ForwardSolveVecTo restricted to the calling
-// goroutine: same blocked sweep, same adot groupings, bitwise-identical
-// result. Per-candidate solves that already run inside an outer ParallelFor
-// (the prediction hot path) use it so the inner solve never pays a nested
-// dispatch allocation.
+// ForwardSolveVecToSerial solves L y = b into dst without allocating,
+// pinned to the calling goroutine: the same blocked sweep and adot
+// groupings as ForwardSolveVec, so the result is bitwise-identical. dst
+// and b must both have length Size; dst may alias b. Per-candidate solves
+// that already run inside an outer ParallelFor (the prediction hot path)
+// use it so the inner solve never pays a nested dispatch allocation.
 func (c *Cholesky) ForwardSolveVecToSerial(dst, b []float64) {
 	if len(b) != c.n || len(dst) != c.n {
 		panic(fmt.Sprintf("mat: ForwardSolveVecToSerial lengths %d/%d do not match size %d", len(dst), len(b), c.n))
@@ -42,7 +32,7 @@ func (c *Cholesky) ForwardSolveVecToSerial(dst, b []float64) {
 // ForwardSolveFlatTo solves L y = b into dst by unblocked forward
 // substitution — row i is one adot over the full prefix — and returns the
 // running sum Σ dst[i]² accumulated in index order. It is serial and
-// cache-unfriendly compared with ForwardSolveVecTo's blocked sweep, but its
+// cache-unfriendly compared with ForwardSolveVec's blocked sweep, but its
 // per-row grouping is identical to BorderSolveStep's, which makes it the
 // rebuild path of the incremental posterior cache: rebuilt and
 // incrementally-extended solve vectors (and their norms) agree bitwise.

@@ -73,7 +73,7 @@ func newCholesky(a *Dense, jitter float64) (*Cholesky, error) {
 	}
 	n := a.rows
 	c := &Cholesky{n: n, data: make([]float64, n*(n+1)/2), jitter: jitter}
-	ParallelFor(n, chunkFor(n), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(c.row(i), a.data[i*a.cols:i*a.cols+i+1])
 		}
@@ -118,7 +118,7 @@ func (c *Cholesky) factor() error {
 		// Panel solve: L[kend:, kb:kend] = A[kend:, kb:kend]·L_bbᵀ⁻¹,
 		// forward substitution per row; rows are independent.
 		bw := kend - kb
-		ParallelFor(n-kend, chunkFor(bw*bw), func(lo, hi int) {
+		ParallelFor(n-kend, ChunkFor(bw*bw), func(lo, hi int) {
 			for i := kend + lo; i < kend+hi; i++ {
 				ri := c.row(i)
 				for j := kb; j < kend; j++ {
@@ -135,7 +135,7 @@ func (c *Cholesky) factor() error {
 		// the numerical contract and each element is updated once per
 		// block.
 		const iTile = 8
-		ParallelFor(n-kend, chunkFor(bw*(n-kend)/2+1), func(lo, hi int) {
+		ParallelFor(n-kend, ChunkFor(bw*(n-kend)/2+1), func(lo, hi int) {
 			for it := kend + lo; it < kend+hi; it += iTile {
 				itEnd := it + iTile
 				if itEnd > kend+hi {
@@ -156,22 +156,6 @@ func (c *Cholesky) factor() error {
 		})
 	}
 	return nil
-}
-
-// CholeskyFromFactor wraps an existing lower-triangular factor L (so that
-// A = L Lᵀ) without refactorizing. The caller asserts that l is lower
-// triangular with positive diagonal. The factor is packed into private
-// storage; l is not retained.
-func CholeskyFromFactor(l *Dense, jitter float64) *Cholesky {
-	if l.rows != l.cols {
-		panic("mat: CholeskyFromFactor of non-square factor")
-	}
-	n := l.rows
-	c := &Cholesky{n: n, data: make([]float64, n*(n+1)/2), jitter: jitter}
-	for i := 0; i < n; i++ {
-		copy(c.row(i), l.data[i*l.cols:i*l.cols+i+1])
-	}
-	return c
 }
 
 // Extend grows the factorization of an n×n matrix A to n+1 by a bordered
@@ -339,7 +323,7 @@ func (c *Cholesky) forwardBlocked(y []float64, parallel bool) {
 		}
 		if parallel {
 			bw := kend - kb
-			ParallelFor(n-kend, chunkFor(2*bw), func(lo, hi int) {
+			ParallelFor(n-kend, ChunkFor(2*bw), func(lo, hi int) {
 				for i := kend + lo; i < kend+hi; i++ {
 					y[i] -= adot(c.row(i)[kb:kend], y[kb:kend])
 				}
@@ -377,7 +361,7 @@ func (c *Cholesky) backwardInPlace(x []float64) {
 			break
 		}
 		bw := kend - kb
-		ParallelFor(kb, chunkFor(2*bw), func(lo, hi int) {
+		ParallelFor(kb, ChunkFor(2*bw), func(lo, hi int) {
 			for k := kb; k < kend; k++ {
 				rk := c.row(k)[lo:hi]
 				xs := x[lo:hi]
@@ -390,30 +374,6 @@ func (c *Cholesky) backwardInPlace(x []float64) {
 	}
 }
 
-// Solve solves A X = B column by column, returning X. Columns are
-// independent and solved in parallel.
-func (c *Cholesky) Solve(b *Dense) *Dense {
-	n := c.n
-	if b.rows != n {
-		panic(fmt.Sprintf("mat: Solve rows %d does not match size %d", b.rows, n))
-	}
-	x := NewDense(n, b.cols, nil)
-	ParallelFor(b.cols, chunkFor(2*n*n), func(lo, hi int) {
-		col := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			for i := 0; i < n; i++ {
-				col[i] = b.data[i*b.cols+j]
-			}
-			c.forwardInPlace(col)
-			c.backwardInPlace(col)
-			for i := 0; i < n; i++ {
-				x.data[i*x.cols+j] = col[i]
-			}
-		}
-	})
-	return x
-}
-
 // Inverse returns A⁻¹ from the factorization as L⁻ᵀL⁻¹: first U = L⁻ᵀ is
 // built one row at a time (row j of U is the forward solve of e_j, a
 // contiguous write), then A⁻¹_ij = U_i·U_j over the shared tail. Both
@@ -422,7 +382,7 @@ func (c *Cholesky) Solve(b *Dense) *Dense {
 func (c *Cholesky) Inverse() *Dense {
 	n := c.n
 	u := NewDense(n, n, nil)
-	ParallelFor(n, chunkFor(n*n/2+1), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n*n/2+1), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			uj := u.data[j*n : (j+1)*n]
 			uj[j] = 1 / c.row(j)[j]
@@ -433,7 +393,7 @@ func (c *Cholesky) Inverse() *Dense {
 		}
 	})
 	out := NewDense(n, n, nil)
-	ParallelFor(n, chunkFor(n*n/2+1), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n*n/2+1), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ui := u.data[i*n : (i+1)*n]
 			for j := i; j < n; j++ {
@@ -443,7 +403,7 @@ func (c *Cholesky) Inverse() *Dense {
 		}
 	})
 	// Mirror the upper triangle into the lower.
-	ParallelFor(n, chunkFor(n), func(lo, hi int) {
+	ParallelFor(n, ChunkFor(n), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			for i := 0; i < j; i++ {
 				out.data[j*n+i] = out.data[i*n+j]
@@ -460,36 +420,4 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.row(i)[i])
 	}
 	return 2 * s
-}
-
-// SolveLowerVec solves L y = b for a general lower-triangular dense l.
-func SolveLowerVec(l *Dense, b []float64) []float64 {
-	n := l.rows
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: SolveLowerVec length %d does not match size %d", len(b), n))
-	}
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		li := l.data[i*l.cols : i*l.cols+i]
-		y[i] = (b[i] - adot(li, y[:i])) / l.data[i*l.cols+i]
-	}
-	return y
-}
-
-// SolveUpperTransposedVec solves Lᵀ x = y given a lower-triangular dense L.
-func SolveUpperTransposedVec(l *Dense, y []float64) []float64 {
-	n := l.rows
-	if len(y) != n {
-		panic(fmt.Sprintf("mat: SolveUpperTransposedVec length %d does not match size %d", len(y), n))
-	}
-	x := make([]float64, n)
-	copy(x, y)
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.data[k*l.cols+i] * x[k]
-		}
-		x[i] = s / l.data[i*l.cols+i]
-	}
-	return x
 }

@@ -83,25 +83,6 @@ func TestCholeskySolveVec(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randomSPD(rng, 5)
-	xTrue := randomDense(rng, 5, 3)
-	b := Mul(a, xTrue)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.Solve(b)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEqual(x.At(i, j), xTrue.At(i, j), 1e-8) {
-				t.Fatalf("X[%d,%d] = %g want %g", i, j, x.At(i, j), xTrue.At(i, j))
-			}
-		}
-	}
-}
-
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomSPD(rng, 4)
@@ -143,31 +124,6 @@ func TestCholeskyLogDetDiagonal(t *testing.T) {
 	want := math.Log(24)
 	if got := ch.LogDet(); !almostEqual(got, want, 1e-12) {
 		t.Fatalf("LogDet = %g want %g", got, want)
-	}
-}
-
-func TestSolveTriangularHelpers(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomSPD(rng, 5)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randomVec(rng, 5)
-	y := SolveLowerVec(ch.L(), b)
-	// L y should reproduce b.
-	ly := ch.L().MulVec(y)
-	for i := range b {
-		if !almostEqual(ly[i], b[i], 1e-10) {
-			t.Fatalf("L y != b at %d: %g vs %g", i, ly[i], b[i])
-		}
-	}
-	x := SolveUpperTransposedVec(ch.L(), y)
-	ax := a.MulVec(x)
-	for i := range b {
-		if !almostEqual(ax[i], b[i], 1e-7) {
-			t.Fatalf("A x != b at %d: %g vs %g", i, ax[i], b[i])
-		}
 	}
 }
 

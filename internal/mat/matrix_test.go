@@ -182,13 +182,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	m := NewDense(2, 2, []float64{1, -7, 3, 4})
-	if got := m.MaxAbs(); got != 7 {
-		t.Fatalf("MaxAbs = %g want 7", got)
-	}
-}
-
 func TestStringContainsValues(t *testing.T) {
 	m := NewDense(1, 2, []float64{1.5, -2})
 	s := m.String()

@@ -86,33 +86,6 @@ func SubVec(a, b []float64) []float64 {
 	return out
 }
 
-// AddVec returns a+b as a new slice.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("mat: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Outer returns the outer product a bᵀ.
-func Outer(a, b []float64) *Dense {
-	m := NewDense(len(a), len(b), nil)
-	for i, av := range a {
-		if av == 0 {
-			continue
-		}
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, bv := range b {
-			row[j] = av * bv
-		}
-	}
-	return m
-}
-
 // MaxVec returns the maximum element of x and its index. It panics on an
 // empty slice.
 func MaxVec(x []float64) (float64, int) {
@@ -122,21 +95,6 @@ func MaxVec(x []float64) (float64, int) {
 	best, idx := x[0], 0
 	for i, v := range x[1:] {
 		if v > best {
-			best, idx = v, i+1
-		}
-	}
-	return best, idx
-}
-
-// MinVec returns the minimum element of x and its index. It panics on an
-// empty slice.
-func MinVec(x []float64) (float64, int) {
-	if len(x) == 0 {
-		panic("mat: MinVec of empty slice")
-	}
-	best, idx := x[0], 0
-	for i, v := range x[1:] {
-		if v < best {
 			best, idx = v, i+1
 		}
 	}

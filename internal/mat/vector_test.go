@@ -78,21 +78,6 @@ func TestScaleCopySubAdd(t *testing.T) {
 	if s[0] != 3 || s[1] != 2 {
 		t.Fatalf("SubVec = %v", s)
 	}
-	a := AddVec([]float64{1, 2}, []float64{3, 4})
-	if a[0] != 4 || a[1] != 6 {
-		t.Fatalf("AddVec = %v", a)
-	}
-}
-
-func TestOuter(t *testing.T) {
-	m := Outer([]float64{1, 2}, []float64{3, 4, 5})
-	r, c := m.Dims()
-	if r != 2 || c != 3 {
-		t.Fatalf("Outer dims %dx%d", r, c)
-	}
-	if m.At(1, 2) != 10 {
-		t.Fatalf("Outer(1,2) = %g want 10", m.At(1, 2))
-	}
 }
 
 func TestMinMaxVec(t *testing.T) {
@@ -100,15 +85,11 @@ func TestMinMaxVec(t *testing.T) {
 	if mx, i := MaxVec(v); mx != 7 || i != 2 {
 		t.Fatalf("MaxVec = %g,%d", mx, i)
 	}
-	if mn, i := MinVec(v); mn != -1 || i != 1 {
-		t.Fatalf("MinVec = %g,%d", mn, i)
-	}
 }
 
 func TestMinMaxVecEmptyPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"max": func() { MaxVec(nil) },
-		"min": func() { MinVec(nil) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -413,8 +413,7 @@ type campaign struct {
 	// checkpoint resume rebuild through the flat solve path and therefore
 	// agree bitwise with caches maintained across an uninterrupted run;
 	// the sparse cache resynchronizes exactly at every refit cadence (see
-	// gp.SparseScoringCache). Nil caches (custom surrogates) fall back to
-	// direct Predict over poolX.
+	// gp.SparseScoringCache).
 	poolX     *mat.Dense
 	costCache gp.PoolCache
 	memCache  gp.PoolCache
@@ -520,8 +519,9 @@ func (c *campaign) init() error {
 // fitFromFeeds builds and fits both surrogates from init-phase feed
 // records. The cost and memory training sets may differ: censored warm-up
 // jobs contribute only their memory bound. The surrogate family comes from
-// cfg.Model via the engine registry; nil keeps the exact GP, so existing
-// campaigns (and their checkpoints) are untouched.
+// cfg.Model through engine.NewSurrogate, the constructor replay campaigns
+// share; nil keeps the exact GP (multifid on a fidelity ladder), so
+// existing campaigns (and their checkpoints) are untouched.
 func fitFromFeeds(cfg Config, init []feedRec) (gp.Model, gp.Model, error) {
 	var xc, xm [][]float64
 	var yc, ym []float64
@@ -538,11 +538,12 @@ func fitFromFeeds(cfg Config, init []feedRec) (gp.Model, gp.Model, error) {
 	if len(yc) == 0 || len(ym) == 0 {
 		return nil, nil, errors.New("online: init design yielded no usable observations (all warm-up jobs failed)")
 	}
-	gpCost, err := newSurrogate(cfg)
+	deps := engine.ModelDeps{Kernel: cfg.Kernel, GP: cfg.GP, Fidelity: cfg.Fidelity}
+	gpCost, err := engine.NewSurrogate(cfg.Model, deps)
 	if err != nil {
 		return nil, nil, err
 	}
-	gpMem, err := newSurrogate(cfg)
+	gpMem, err := engine.NewSurrogate(cfg.Model, deps)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -555,20 +556,6 @@ func fitFromFeeds(cfg Config, init []feedRec) (gp.Model, gp.Model, error) {
 	gpCost.SetRestarts(0)
 	gpMem.SetRestarts(0)
 	return gpCost, gpMem, nil
-}
-
-// newSurrogate constructs one unfitted surrogate of the configured family.
-// A fidelity campaign without an explicit model gets the co-kriging multifid
-// surrogate — a plain GP cannot tell the ladder's rungs apart.
-func newSurrogate(cfg Config) (gp.Model, error) {
-	deps := engine.ModelDeps{Kernel: cfg.Kernel, GP: cfg.GP, Fidelity: cfg.Fidelity}
-	if cfg.Model != nil {
-		return engine.BuildModel(*cfg.Model, deps)
-	}
-	if cfg.Fidelity != nil {
-		return engine.BuildModel(engine.ModelSpec{Name: engine.ModelMultiFid}, deps)
-	}
-	return gp.New(cfg.Kernel, cfg.GP), nil
 }
 
 // rebuildPool derives the candidate pool: the design grid minus every
@@ -610,16 +597,6 @@ func (c *campaign) buildCaches() {
 	c.poolX = x
 	c.costCache = gp.NewPoolCache(c.gpCost, x)
 	c.memCache = gp.NewPoolCache(c.gpMem, x)
-	if c.costCache == nil || c.memCache == nil {
-		// Uncacheable model type: fall back to direct scoring in Score.
-		if c.costCache != nil {
-			c.costCache.Close()
-		}
-		if c.memCache != nil {
-			c.memCache.Close()
-		}
-		c.costCache, c.memCache = nil, nil
-	}
 }
 
 // applyFeed absorbs one selection's feed record into the live surrogates.
@@ -657,14 +634,8 @@ func (c *campaign) PoolLen() int { return len(c.pool) }
 // Score implements engine.LoopEnv: model predictions for the remaining
 // pool, straight from the incremental scoring caches.
 func (c *campaign) Score() *engine.Candidates {
-	var muC, sigC, muM, sigM []float64
-	if c.costCache != nil {
-		muC, sigC = c.costCache.Scores()
-		muM, sigM = c.memCache.Scores()
-	} else {
-		muC, sigC = c.gpCost.Predict(c.poolX)
-		muM, sigM = c.gpMem.Predict(c.poolX)
-	}
+	muC, sigC := c.costCache.Scores()
+	muM, sigM := c.memCache.Scores()
 	cands := &engine.Candidates{
 		X: c.poolX, MuCost: muC, SigmaCost: sigC, MuMem: muM, SigmaMem: sigM,
 		MemLimitLog: c.memLimitLog,
@@ -677,8 +648,6 @@ func (c *campaign) Score() *engine.Candidates {
 		var gains []float64
 		if fs, ok := c.costCache.(gp.FidelityScorer); ok {
 			gains = fs.TopInfoGains()
-		} else if mf, ok := c.gpCost.(*gp.MultiFid); ok {
-			gains = mf.TopInfoGains(c.poolX)
 		}
 		cands.Fid = &engine.FidelityView{Level: lv, TopGain: gains}
 	}
@@ -768,10 +737,8 @@ func (c *campaign) Remove(picks []int) {
 	for _, pick := range picks {
 		c.pool = append(c.pool[:pick], c.pool[pick+1:]...)
 		c.poolX = c.poolX.RemoveRow(pick)
-		if c.costCache != nil {
-			c.costCache.Remove(pick)
-			c.memCache.Remove(pick)
-		}
+		c.costCache.Remove(pick)
+		c.memCache.Remove(pick)
 	}
 }
 
