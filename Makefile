@@ -21,13 +21,14 @@ vet:
 # the concurrency-sensitive fault-injection and checkpoint paths; engine
 # carries the sweep worker pool. The second line re-runs the streamed-pool
 # engine tests explicitly (-count=1, no -short): the shard-parallel Select
-# lanes and their worker-count-invariance pins must face the race detector
-# at full size on every CI pass, never satisfied from the test cache.
+# lanes, their worker-count-invariance pins, and the concurrent PredictInto
+# contract the lanes rely on must face the race detector at full size on
+# every CI pass, never satisfied from the test cache.
 race:
 	$(GO) test -race -short ./internal/mat ./internal/kernel ./internal/gp \
 		./internal/engine ./internal/faults ./internal/online \
 		./internal/remotelab ./internal/report
-	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictIntoSerial' \
+	$(GO) test -race -count=1 -run 'TestStream|TestGridSource|TestScaleSmoke|TestPredictIntoConcurrent' \
 		./internal/engine ./internal/gp
 
 # sweep-smoke drives a tiny 2x2 policy-by-seed grid through the unified
@@ -86,12 +87,15 @@ fidelity-smoke:
 		-run 'TestFidelitySmoke|TestFidelityStudy|TestReplayFidelity|TestMultiFidOneLevelBitwiseExactGP|TestMultiFidRhoZeroMatchesIndependentGPs|TestOnlineFidelityEndToEnd|TestFidelityCampaignOverFleet' \
 		./internal/engine ./internal/gp ./internal/online ./internal/remotelab
 
-# fuzz-smoke fuzzes the campaign-spec parser for 10s from the committed
-# seed corpus (examples/specs plus the round-trip cases, and any crasher
-# kept under internal/engine/testdata/fuzz): no input may panic it, and
-# every accepted spec must re-marshal byte-stably.
+# fuzz-smoke fuzzes the two untrusted-input parsers for 10s each from their
+# committed seed corpora (and any crasher kept under the package's
+# testdata/fuzz): the campaign-spec parser (examples/specs plus the
+# round-trip cases) and the dataset CSV reader (dataset.csv's head plus
+# malformed rows). No input may panic either, and every accepted input must
+# re-serialize byte-stably.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCampaignSpec -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/dataset
 
 # docs-check keeps the documentation honest: every examples/specs file is
 # canonical-form, every flag README.md/API.md shows exists in the binary it
@@ -132,7 +136,8 @@ bench-al:
 # bench-scale measures the million-candidate selection step: one full
 # pool-scoring pass per op across surrogate families, n in {2e3, 1e4}, m in
 # {1e5, 1e6}, pool layouts (materialized vs streamed vs streamed+approximate
-# shard pruning), and mat worker counts {1, 2, 4, GOMAXPROCS}. The B/op
+# shard pruning), and, for the streamed layouts, mat worker counts
+# {1, 2, 4, GOMAXPROCS} (the materialized pass runs serially, once). The B/op
 # column is the pool-scoring working set: materialized pools allocate O(m),
 # streamed pools O(workers·shard + k). Exact-model cases are skipped by
 # default (the O(m·n²) pass is tens of minutes); run bench-scale-full to

@@ -237,8 +237,9 @@ func (d *Dataset) response(idx []int, f func(Job) float64) []float64 {
 	return out
 }
 
-// Validate checks that every job has physically sensible responses and
-// on-grid features.
+// Validate checks that every job has physically sensible responses (the
+// Job.CheckResponses precondition: positive and finite) and on-grid
+// features.
 func (d *Dataset) Validate() error {
 	onGridInt := func(v int, grid []int) bool {
 		for _, g := range grid {
@@ -257,8 +258,8 @@ func (d *Dataset) Validate() error {
 		return false
 	}
 	for i, j := range d.Jobs {
-		if j.WallSec <= 0 || j.CostNH <= 0 || j.MemMB <= 0 {
-			return fmt.Errorf("dataset: job %d has non-positive responses: %+v", i, j)
+		if err := j.CheckResponses(); err != nil {
+			return fmt.Errorf("job %d: %w", i, err)
 		}
 		if !onGridInt(j.P, GridP) || !onGridInt(j.Mx, GridMx) || !onGridInt(j.MaxLevel, GridMaxLevel) {
 			return fmt.Errorf("dataset: job %d has off-grid integer feature: %+v", i, j)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -119,6 +120,14 @@ func TestValidate(t *testing.T) {
 	bad2 := &Dataset{Jobs: []Job{{P: 4, Mx: 8, MaxLevel: 3, R0: 0.2, RhoIn: 0.02, WallSec: 0, CostNH: 1, MemMB: 1}}}
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("zero wallclock accepted")
+	}
+	nanCost := &Dataset{Jobs: []Job{{P: 4, Mx: 8, MaxLevel: 3, R0: 0.2, RhoIn: 0.02, WallSec: 1, CostNH: math.NaN(), MemMB: 1}}}
+	if err := nanCost.Validate(); !errors.Is(err, ErrBadResponse) {
+		t.Fatalf("NaN cost: Validate = %v, want ErrBadResponse", err)
+	}
+	infMem := &Dataset{Jobs: []Job{{P: 4, Mx: 8, MaxLevel: 3, R0: 0.2, RhoIn: 0.02, WallSec: 1, CostNH: 1, MemMB: math.Inf(1)}}}
+	if err := infMem.Validate(); !errors.Is(err, ErrBadResponse) {
+		t.Fatalf("+Inf memory: Validate = %v, want ErrBadResponse", err)
 	}
 }
 

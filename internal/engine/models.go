@@ -43,7 +43,7 @@ type ModelDeps struct {
 }
 
 // modelReg is the closed surrogate set: every family here has a
-// PredictInto/PredictIntoSerial path and a gp.NewPoolCache cache, which
+// PredictInto path and a gp.NewPoolCache cache, which
 // TestEveryRegistryEntryConstructible pins.
 var modelReg = map[string]func(ModelSpec, ModelDeps) (gp.Model, error){
 	ModelExact: func(_ ModelSpec, d ModelDeps) (gp.Model, error) {

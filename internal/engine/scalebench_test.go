@@ -22,7 +22,7 @@ var benchFull = flag.Bool("full", false, "include the slow exact-model scale ben
 // per-iteration cost of an AL campaign's selection step — across surrogate
 // families (exact where feasible, sparse, treed), training-set sizes, pool
 // sizes, and pool layouts (materialized vs streamed vs streamed+pruning).
-// `make bench-scale` records it into BENCH_al.json; `make bench-scale-smoke`
+// `make bench-scale` records it into BENCH_scale.json; `make bench-scale-smoke`
 // runs the TestScaleSmoke correctness twin in CI.
 
 const scaleDim = 5
@@ -131,22 +131,22 @@ func BenchmarkScaleScoring(b *testing.B) {
 				src := scaleGrid(m)
 				name := fmt.Sprintf("n=%d/m=%d/model=%s", n, m, model)
 
-				// The workers axis sweeps the same pass at 1, 2, 4, and
-				// GOMAXPROCS mat workers (deduplicated); bench-summary
+				// The materialized pass runs on the calling goroutine
+				// (prediction never fans out), so it is measured once. The
+				// streamed modes sweep the same pass at 1, 2, 4, and
+				// GOMAXPROCS shard lanes (deduplicated); bench-summary
 				// derives its speedup column from the workers=1 row.
+				b.Run(name+"/pool=materialized", func(b *testing.B) {
+					poolX := mat.NewDense(m, scaleDim, nil)
+					src.Fill(0, m, poolX)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						materializedPass(cost, mem, poolX, rank)
+					}
+				})
 				for _, wc := range streamWorkerCounts() {
 					wc := wc
-					b.Run(fmt.Sprintf("%s/pool=materialized/workers=%d", name, wc), func(b *testing.B) {
-						prev := mat.SetWorkers(wc)
-						defer mat.SetWorkers(prev)
-						poolX := mat.NewDense(m, scaleDim, nil)
-						src.Fill(0, m, poolX)
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							materializedPass(cost, mem, poolX, rank)
-						}
-					})
 					for _, mode := range []struct {
 						tag    string
 						approx bool

@@ -30,7 +30,7 @@ func streamWorkerCounts() []int {
 // streamFamilyFixture is streamFixture generalized over the surrogate
 // family: the same synthetic data fit through the exact, sparse, or treed
 // model so the parallel scoring path is exercised against every
-// PredictIntoSerial implementation.
+// PredictInto implementation.
 func streamFamilyFixture(t testing.TB, family string, seed int64, n, m int) (cost, mem gp.Model, pool *mat.Dense) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

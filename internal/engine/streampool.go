@@ -23,10 +23,11 @@ import (
 // Shard scoring is parallel: Select dispatches W = min(mat.Workers(),
 // shards) worker lanes over the internal/mat pool, each lane claiming
 // shards from a shared atomic cursor, generating each claimed shard into
-// its own feature slab and scoring it serially (PredictIntoSerial — the
-// lanes *are* the parallelism) into its own bounded heap. The shortlist
-// is independent of scheduling at every worker count: the top-k under the
-// strict total order (rank desc, id asc) is a unique set, each
+// its own feature slab and scoring it with the model's PredictInto (which
+// runs on the calling goroutine — the lanes *are* the parallelism) into
+// its own bounded heap. The shortlist is independent of scheduling at
+// every worker count: the top-k under the strict total order (rank desc,
+// id asc) is a unique set, each
 // candidate's scores are computed in full by exactly one lane with a
 // floating-point evaluation order fixed by the shard layout alone, and the
 // final merge sorts the union of the lanes' heaps under that same order —
@@ -249,18 +250,11 @@ type StreamState struct {
 	workers []*streamWorker
 }
 
-// predictShard scores one shard into the reusable buffers. serial selects
-// the single-goroutine model path, the one a parallel Select's worker lanes
-// call: the lanes are the parallelism, so nested worker-pool dispatch
-// inside the model would only add scheduling churn.
-func predictShard(m gp.Model, xs *mat.Dense, mean, std []float64, serial bool) ([]float64, []float64) {
+// predictShard scores one shard into the reusable buffers.
+func predictShard(m gp.Model, xs *mat.Dense, mean, std []float64) ([]float64, []float64) {
 	rows := xs.Rows()
 	mean, std = mean[:rows], std[:rows]
-	if serial {
-		m.PredictIntoSerial(xs, mean, std)
-	} else {
-		m.PredictInto(xs, mean, std)
-	}
+	m.PredictInto(xs, mean, std)
 	return mean, std
 }
 
@@ -378,11 +372,11 @@ func (st *StreamState) ensureWorkers(w int) {
 // its live candidates into the lane's bounded heap, and refreshes the
 // shard's prune bound. Writes touch lane-private state plus prevBest[s],
 // which only this lane (the shard's claimant) writes.
-func (st *StreamState) scoreShard(w *streamWorker, s, lo, hi int, xs *mat.Dense, bound *kthBound, useShared, serial bool) {
+func (st *StreamState) scoreShard(w *streamWorker, s, lo, hi int, xs *mat.Dense, bound *kthBound, useShared bool) {
 	obs.PoolShardsInflight.Add(1)
 	sp := obs.SpanShardScore.Start()
-	muC, sigC := predictShard(st.cost, xs, w.muC, w.sigC, serial)
-	muM, sigM := predictShard(st.mem, xs, w.muM, w.sigM, serial)
+	muC, sigC := predictShard(st.cost, xs, w.muC, w.sigC)
+	muM, sigM := predictShard(st.mem, xs, w.muM, w.sigM)
 	k := st.cfg.TopK
 	best := math.Inf(-1)
 	for i := 0; i < hi-lo; i++ {
@@ -408,10 +402,8 @@ func (st *StreamState) scoreShard(w *streamWorker, s, lo, hi int, xs *mat.Dense,
 // scoreLoop is one lane's Select body: claim shards off the shared cursor
 // (consuming prune decisions inline), generate each into the lane's slab,
 // and score it. threshold is the deterministic non-monotone prune limit;
-// useShared switches to the in-call monotone bound. A lone lane (parallel
-// false) lets the model's own PredictInto fan out over the mat pool; in
-// parallel mode each lane predicts serially.
-func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kthBound, threshold float64, useShared, prune, parallel bool, nShards int) {
+// useShared switches to the in-call monotone bound.
+func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kthBound, threshold float64, useShared, prune bool, nShards int) {
 	n := st.src.Len()
 	shard := st.cfg.ShardSize
 	dim := st.src.Dim()
@@ -449,7 +441,7 @@ func (st *StreamState) scoreLoop(w *streamWorker, next *atomic.Int64, bound *kth
 			xs = mat.NewDense(hi-lo, dim, xs.RawData()[:(hi-lo)*dim])
 		}
 		st.src.Fill(lo, hi, xs)
-		st.scoreShard(w, s, lo, hi, xs, bound, useShared, parallel)
+		st.scoreShard(w, s, lo, hi, xs, bound, useShared)
 	}
 }
 
@@ -489,13 +481,9 @@ func (st *StreamState) Select() (*Candidates, []int) {
 		sw.scored, sw.pruned = 0, 0
 	}
 	var next atomic.Int64
-	if w == 1 {
-		st.scoreLoop(st.workers[0], &next, &bound, threshold, useShared, prune, false, nShards)
-	} else {
-		mat.ParallelWorkers(w, func(lane int) {
-			st.scoreLoop(st.workers[lane], &next, &bound, threshold, useShared, prune, true, nShards)
-		})
-	}
+	mat.ParallelWorkers(w, func(lane int) {
+		st.scoreLoop(st.workers[lane], &next, &bound, threshold, useShared, prune, nShards)
+	})
 
 	var scored, pruned int64
 	for _, sw := range st.workers[:w] {

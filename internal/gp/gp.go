@@ -334,10 +334,7 @@ func (g *GP) precompute() error {
 
 // Predict returns the posterior mean and standard deviation of the latent
 // function at each row of xs. Variances are clamped at zero before the
-// square root, the standard guard against roundoff. Test points are
-// independent and are evaluated in parallel; each point's result is
-// computed in full by one goroutine, so the output does not depend on the
-// worker count.
+// square root, the standard guard against roundoff.
 func (g *GP) Predict(xs *mat.Dense) (mean, std []float64) {
 	m := xs.Rows()
 	mean = make([]float64, m)
@@ -348,7 +345,11 @@ func (g *GP) Predict(xs *mat.Dense) (mean, std []float64) {
 
 // PredictInto is Predict writing into caller-owned buffers, the
 // zero-allocation form streamed pool scoring loops over (keeps the live
-// set at one shard rather than the whole pool).
+// set at one shard rather than the whole pool). One scratch pair serves
+// every row, so the hot path allocates nothing per candidate. Model state
+// is read-only here and the scratch is call-local, so any number of
+// PredictInto calls may run concurrently on one fitted model (the
+// engine's shard lanes do); Fit, Append and Refit must not overlap them.
 func (g *GP) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !g.fitted {
 		panic("gp: Predict before Fit")
@@ -358,42 +359,11 @@ func (g *GP) PredictInto(xs *mat.Dense, mean, std []float64) {
 		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), m))
 	}
 	n := g.x.Rows()
-	mat.ParallelFor(m, mat.ChunkFor(n*n/2+32*n), func(lo, hi int) {
-		g.predictRange(xs, mean, std, lo, hi)
-	})
-}
-
-// predictRange scores rows [lo, hi) with one scratch pair for the whole
-// range: predictOneInto reuses it for every point, so the hot path
-// allocates nothing per candidate. Model state is read-only here and the
-// scratch is call-local, so any number of predictRange calls (and through
-// them PredictInto / PredictIntoSerial calls) may run concurrently on one
-// fitted model.
-func (g *GP) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
-	n := g.x.Rows()
 	scratch := make([]float64, 2*n)
 	ks, v := scratch[:n], scratch[n:]
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		mean[i], std[i] = g.predictOneInto(xs.Row(i), ks, v)
 	}
-}
-
-// PredictIntoSerial is PredictInto pinned to the calling goroutine: no
-// worker-pool dispatch, identical per-candidate arithmetic, so its output
-// is bitwise-equal to PredictInto's. It exists for callers that are
-// themselves one lane of a higher-level parallel dispatch (the engine's
-// shard workers), where nested fan-out would only add scheduling churn.
-// Safe for concurrent use on a fitted model: prediction reads model state
-// only (Fit/Append/Refit must not overlap, same contract as Predict).
-func (g *GP) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
-	if !g.fitted {
-		panic("gp: Predict before Fit")
-	}
-	m := xs.Rows()
-	if len(mean) != m || len(std) != m {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), m))
-	}
-	g.predictRange(xs, mean, std, 0, m)
 }
 
 // PredictMean returns the posterior mean at each row of xs, bitwise equal to
@@ -413,21 +383,19 @@ func (g *GP) PredictMean(xs *mat.Dense) []float64 {
 	c.bind(xs)
 	n, from := g.x.Rows(), c.cols
 	mean := make([]float64, xs.Rows())
-	mat.ParallelFor(len(mean), mat.ChunkFor(32*(n-from)+2*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := c.rows[i]
-			if cap(row) < n {
-				// Grow with 25% slack: the rows gain one column per Append.
-				grown := make([]float64, n, n+n/4+8)
-				copy(grown, row[:from])
-				row = grown
-			}
-			row = row[:n]
-			g.rowEval.Eval(xs.Row(i), from, row[from:])
-			c.rows[i] = row
-			mean[i] = g.meanOf(row)
+	for i := range mean {
+		row := c.rows[i]
+		if cap(row) < n {
+			// Grow with 25% slack: the rows gain one column per Append.
+			grown := make([]float64, n, n+n/4+8)
+			copy(grown, row[:from])
+			row = grown
 		}
-	})
+		row = row[:n]
+		g.rowEval.Eval(xs.Row(i), from, row[from:])
+		c.rows[i] = row
+		mean[i] = g.meanOf(row)
+	}
 	c.cols = n
 	return mean
 }
@@ -452,10 +420,8 @@ func (g *GP) PredictOne(x []float64) (mean, std float64) {
 // scratch: ks and v must each have length NumTrain and are overwritten.
 func (g *GP) predictOneInto(x, ks, v []float64) (float64, float64) {
 	mean := g.meanOneInto(x, ks)
-	// σ² = k** − vᵀv with v = L⁻¹ k*. The serial solve is bitwise-identical
-	// to the parallel one; callers of this method are themselves chunks of a
-	// ParallelFor, so nested dispatch would only allocate.
-	g.chol.ForwardSolveVecToSerial(v, ks)
+	// σ² = k** − vᵀv with v = L⁻¹ k*, solved into the caller's scratch.
+	g.chol.ForwardSolveVecTo(v, ks)
 	variance := g.kern.Eval(x, x) - mat.Dot(v, v)
 	if variance < 0 {
 		variance = 0

@@ -346,8 +346,7 @@ func (m *MultiFid) priorStd(p []float64) float64 {
 }
 
 // Predict returns the recursive posterior mean and standard deviation at
-// each row of xs, each row evaluated at its own fidelity level. Rows are
-// independent and evaluate in parallel.
+// each row of xs, each row evaluated at its own fidelity level.
 func (m *MultiFid) Predict(xs *mat.Dense) (mean, std []float64) {
 	mm := xs.Rows()
 	mean = make([]float64, mm)
@@ -356,7 +355,8 @@ func (m *MultiFid) Predict(xs *mat.Dense) (mean, std []float64) {
 	return mean, std
 }
 
-// PredictInto is Predict writing into caller-owned buffers.
+// PredictInto is Predict writing into caller-owned buffers. It reads model
+// state only, so concurrent calls on one fitted model are race-free.
 func (m *MultiFid) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !m.fitted {
 		panic("gp: Predict before Fit")
@@ -365,10 +365,16 @@ func (m *MultiFid) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if len(mean) != mm || len(std) != mm {
 		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), mm))
 	}
-	n := m.maxTrain()
-	mat.ParallelFor(mm, mat.ChunkFor(len(m.mf.Ladder)*(n*n/2+32*n)+8), func(lo, hi int) {
-		m.predictRange(xs, mean, std, lo, hi)
-	})
+	p := make([]float64, xs.Cols()-1)
+	for i := 0; i < mm; i++ {
+		row := xs.Row(i)
+		l, err := m.Level(row)
+		if err != nil {
+			panic(err)
+		}
+		m.stripInto(p, row)
+		mean[i], std[i] = m.predictPoint(l, p)
+	}
 }
 
 // PredictMean implements Model: each row's recursive mean at its own
@@ -378,48 +384,18 @@ func (m *MultiFid) PredictMean(xs *mat.Dense) []float64 {
 		panic("gp: PredictMean before Fit")
 	}
 	mean := make([]float64, xs.Rows())
-	n := m.maxTrain()
-	mat.ParallelFor(len(mean), mat.ChunkFor(len(m.mf.Ladder)*34*n+8), func(lo, hi int) {
-		p := make([]float64, xs.Cols()-1)
-		var ks []float64
-		for i := lo; i < hi; i++ {
-			row := xs.Row(i)
-			l, err := m.Level(row)
-			if err != nil {
-				panic(err)
-			}
-			m.stripInto(p, row)
-			mean[i] = m.meanPoint(l, p, &ks)
-		}
-	})
-	return mean
-}
-
-// PredictIntoSerial is PredictInto pinned to the calling goroutine,
-// bitwise-equal output, for callers that are themselves one lane of a
-// higher-level dispatch.
-func (m *MultiFid) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
-	if !m.fitted {
-		panic("gp: Predict before Fit")
-	}
-	mm := xs.Rows()
-	if len(mean) != mm || len(std) != mm {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), mm))
-	}
-	m.predictRange(xs, mean, std, 0, mm)
-}
-
-func (m *MultiFid) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	p := make([]float64, xs.Cols()-1)
-	for i := lo; i < hi; i++ {
+	var ks []float64
+	for i := range mean {
 		row := xs.Row(i)
 		l, err := m.Level(row)
 		if err != nil {
 			panic(err)
 		}
 		m.stripInto(p, row)
-		mean[i], std[i] = m.predictPoint(l, p)
+		mean[i] = m.meanPoint(l, p, &ks)
 	}
+	return mean
 }
 
 // TopInfoGains returns, for each row of xs, the predicted reduction in
@@ -483,18 +459,6 @@ func (m *MultiFid) SetRestarts(n int) {
 			g.SetRestarts(n)
 		}
 	}
-}
-
-// maxTrain is the largest per-level training-set size, the cost driver of
-// one recursive prediction.
-func (m *MultiFid) maxTrain() int {
-	n := 1
-	for _, g := range m.levels {
-		if g != nil && g.NumTrain() > n {
-			n = g.NumTrain()
-		}
-	}
-	return n
 }
 
 // rowsDense packs row slices into a fresh Dense matrix.

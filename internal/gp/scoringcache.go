@@ -22,10 +22,10 @@ import (
 //
 //   - Append: every kᵢ gains one entry through the GP's own row evaluator,
 //     and every vᵢ gains one entry via mat.Cholesky.BorderSolveStep against
-//     the new factor row — O(n) per candidate, in parallel over candidates.
+//     the new factor row — O(n) per candidate.
 //   - Refit / Fit (new hyperparameters): every stored row is wrong; the
 //     cache marks itself stale and the next Scores call rebuilds all
-//     candidates in one parallel batched pass.
+//     candidates in one batched pass.
 //   - Candidate removal: O(1) swap-delete of the heavy per-candidate state.
 //
 // Determinism: the rebuild pass solves each vᵢ with the flat substitution
@@ -114,7 +114,7 @@ func (c *ScoringCache) invalidate() {
 // Scores returns the posterior mean and standard deviation for every live
 // candidate in pool order. The returned slices are owned by the cache and
 // are overwritten by the next call. A stale cache (after Fit/Refit) is
-// rebuilt first in one parallel batched pass.
+// rebuilt first in one batched pass.
 func (c *ScoringCache) Scores() (mu, sigma []float64) {
 	if c.stale {
 		c.rebuild()
@@ -129,17 +129,14 @@ func (c *ScoringCache) Scores() (mu, sigma []float64) {
 	c.mu, c.sigma = c.mu[:m], c.sigma[:m]
 	alpha, yMean := c.g.alpha, c.g.yMean
 	n := len(alpha)
-	mat.ParallelFor(m, mat.ChunkFor(2*n+8), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			s := c.order[p]
-			c.mu[p] = mat.DotBlocked(c.ks[s][:n], alpha) + yMean
-			variance := c.kss[s] - c.v2[s]
-			if variance < 0 {
-				variance = 0
-			}
-			c.sigma[p] = math.Sqrt(variance)
+	for p, s := range c.order {
+		c.mu[p] = mat.DotBlocked(c.ks[s][:n], alpha) + yMean
+		variance := c.kss[s] - c.v2[s]
+		if variance < 0 {
+			variance = 0
 		}
-	})
+		c.sigma[p] = math.Sqrt(variance)
+	}
 	return c.mu, c.sigma
 }
 
@@ -169,22 +166,20 @@ func (c *ScoringCache) Remove(p int) {
 }
 
 // rebuild recomputes every candidate's cached state against the GP's
-// current hyperparameters and factor, in parallel over candidates. The flat
+// current hyperparameters and factor, one candidate at a time. The flat
 // forward solve keeps rebuilt state bitwise identical to incrementally
 // extended state (see the type comment).
 func (c *ScoringCache) rebuild() {
 	obs.CacheRebuilds.Inc()
 	g := c.g
 	n := g.x.Rows()
-	mat.ParallelFor(len(c.xs), mat.ChunkFor(n*n/2+32*n+8), func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			c.ks[s] = growVec(c.ks[s], n)
-			c.vs[s] = growVec(c.vs[s], n)
-			g.rowEval.Eval(c.xs[s], 0, c.ks[s])
-			c.v2[s] = g.chol.ForwardSolveFlatTo(c.vs[s], c.ks[s])
-			c.kss[s] = g.kern.Eval(c.xs[s], c.xs[s])
-		}
-	})
+	for s := range c.xs {
+		c.ks[s] = growVec(c.ks[s], n)
+		c.vs[s] = growVec(c.vs[s], n)
+		g.rowEval.Eval(c.xs[s], 0, c.ks[s])
+		c.v2[s] = g.chol.ForwardSolveFlatTo(c.vs[s], c.ks[s])
+		c.kss[s] = g.kern.Eval(c.xs[s], c.xs[s])
+	}
 	c.stale = false
 }
 
@@ -200,16 +195,14 @@ func (c *ScoringCache) extendAppend() {
 	obs.CacheExtends.Inc()
 	g := c.g
 	n := g.x.Rows() // post-append size; cached rows have n−1 entries
-	mat.ParallelFor(len(c.xs), mat.ChunkFor(2*n+64), func(lo, hi int) {
-		var kNew [1]float64
-		for s := lo; s < hi; s++ {
-			g.rowEval.Eval(c.xs[s], n-1, kNew[:])
-			vNew := g.chol.BorderSolveStep(c.vs[s], kNew[0])
-			c.ks[s] = append(c.ks[s], kNew[0])
-			c.vs[s] = append(c.vs[s], vNew)
-			c.v2[s] += vNew * vNew
-		}
-	})
+	var kNew [1]float64
+	for s := range c.xs {
+		g.rowEval.Eval(c.xs[s], n-1, kNew[:])
+		vNew := g.chol.BorderSolveStep(c.vs[s], kNew[0])
+		c.ks[s] = append(c.ks[s], kNew[0])
+		c.vs[s] = append(c.vs[s], vNew)
+		c.v2[s] += vNew * vNew
+	}
 }
 
 // growVec resizes b to length n, reusing capacity when possible and

@@ -222,7 +222,10 @@ func (s *Sparse) Predict(xs *mat.Dense) (mean, std []float64) {
 
 // PredictInto is Predict writing into caller-owned buffers, the
 // allocation-free form the streamed pool uses per shard. mean and std must
-// have xs.Rows() entries.
+// have xs.Rows() entries. One scratch pair serves every row. Prediction
+// reads model state only (zEval is concurrent-safe, the factor solve
+// writes caller scratch), so concurrent PredictInto calls on one fitted
+// model are race-free.
 func (s *Sparse) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if !s.fitted {
 		panic("gp: Sparse.PredictInto before Fit")
@@ -232,24 +235,11 @@ func (s *Sparse) PredictInto(xs *mat.Dense, mean, std []float64) {
 		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), n))
 	}
 	m := s.z.Rows()
-	// Test points are independent: batch kernel rows via the cached
-	// evaluator and fan out over the pool with per-chunk scratch.
-	mat.ParallelFor(n, mat.ChunkFor(m*m+4*m), func(lo, hi int) {
-		s.predictRange(xs, mean, std, lo, hi)
-	})
-}
-
-// predictRange scores rows [lo, hi) with one scratch pair for the whole
-// range. Prediction reads model state only (zEval is concurrent-safe, the
-// factor solve writes caller scratch), so concurrent predictRange calls on
-// one fitted model are race-free.
-func (s *Sparse) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
-	m := s.z.Rows()
 	km := make([]float64, m)
 	w := make([]float64, m)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		mean[i] = s.meanOneInto(xs.Row(i), km)
-		s.aChol.ForwardSolveVecToSerial(w, km)
+		s.aChol.ForwardSolveVecTo(w, km)
 		v := mat.Dot(w, w)
 		if v < 0 {
 			v = 0
@@ -273,28 +263,11 @@ func (s *Sparse) PredictMean(xs *mat.Dense) []float64 {
 	}
 	m := s.z.Rows()
 	mean := make([]float64, xs.Rows())
-	mat.ParallelFor(len(mean), mat.ChunkFor(34*m), func(lo, hi int) {
-		km := make([]float64, m)
-		for i := lo; i < hi; i++ {
-			mean[i] = s.meanOneInto(xs.Row(i), km)
-		}
-	})
+	km := make([]float64, m)
+	for i := range mean {
+		mean[i] = s.meanOneInto(xs.Row(i), km)
+	}
 	return mean
-}
-
-// PredictIntoSerial is PredictInto pinned to the calling goroutine —
-// bitwise-equal output (same per-candidate arithmetic), no worker-pool
-// dispatch. See GP.PredictIntoSerial for the use case and the concurrency
-// contract.
-func (s *Sparse) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
-	if !s.fitted {
-		panic("gp: Sparse.PredictInto before Fit")
-	}
-	n := xs.Rows()
-	if len(mean) != n || len(std) != n {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), n))
-	}
-	s.predictRange(xs, mean, std, 0, n)
 }
 
 // Append implements Model: one observation adds the rank-1 term

@@ -25,12 +25,12 @@ import (
 //     the pre-update factor and hands it over before running cholupdate.
 //   - Refit / project (new hyperparameters or inducing set): every stored
 //     row is wrong; the cache marks itself stale and the next Scores call
-//     rebuilds all candidates in one parallel batched pass.
+//     rebuilds all candidates in one batched pass.
 //   - Candidate removal: O(1) swap-delete, same scheme as ScoringCache.
 //
 // Determinism contract (mirrors ScoringCache, with one honest difference):
 // the rebuild pass computes each candidate with exactly Predict's
-// arithmetic (zEval row, Dot against β, serial scratch solve, Dot for the
+// arithmetic (zEval row, Dot against β, scratch forward solve, Dot for the
 // variance), so a freshly rebuilt cache agrees with Sparse.Predict
 // bitwise. Sherman-Morrison-extended state is NOT bitwise against a fresh
 // solve — the update is algebraically exact but rounds differently — so
@@ -117,17 +117,14 @@ func (c *SparseScoringCache) Scores() (mu, sigma []float64) {
 	c.mu, c.sigma = c.mu[:m], c.sigma[:m]
 	beta, yMean := c.s.beta, c.s.yMean
 	k := len(beta)
-	mat.ParallelFor(m, mat.ChunkFor(k+8), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			s := c.order[p]
-			c.mu[p] = mat.Dot(c.km[s][:k], beta) + yMean
-			variance := c.v[s]
-			if variance < 0 {
-				variance = 0
-			}
-			c.sigma[p] = math.Sqrt(variance)
+	for p, s := range c.order {
+		c.mu[p] = mat.Dot(c.km[s][:k], beta) + yMean
+		variance := c.v[s]
+		if variance < 0 {
+			variance = 0
 		}
-	})
+		c.sigma[p] = math.Sqrt(variance)
+	}
 	return c.mu, c.sigma
 }
 
@@ -161,20 +158,18 @@ func (c *SparseScoringCache) rebuild() {
 	obs.ModelCacheOps.Inc(obs.ModelCacheSparseRebuild)
 	s := c.s
 	k := s.z.Rows()
-	mat.ParallelFor(len(c.xs), mat.ChunkFor(k*k+4*k), func(lo, hi int) {
-		fwd := make([]float64, k)
-		for i := lo; i < hi; i++ {
-			c.km[i] = growVec(c.km[i], k)
-			c.w[i] = growVec(c.w[i], k)
-			s.zEval(c.xs[i], 0, c.km[i])
-			// Variance through Predict's forward half-solve (bitwise
-			// contract); the full solve vector is kept separately because
-			// the Sherman-Morrison extend updates it in O(k).
-			s.aChol.ForwardSolveVecToSerial(fwd, c.km[i])
-			c.v[i] = mat.Dot(fwd, fwd)
-			s.aChol.SolveVecToSerial(c.w[i], c.km[i])
-		}
-	})
+	fwd := make([]float64, k)
+	for i := range c.xs {
+		c.km[i] = growVec(c.km[i], k)
+		c.w[i] = growVec(c.w[i], k)
+		s.zEval(c.xs[i], 0, c.km[i])
+		// Variance through Predict's forward half-solve (bitwise
+		// contract); the full solve vector is kept separately because
+		// the Sherman-Morrison extend updates it in O(k).
+		s.aChol.ForwardSolveVecTo(fwd, c.km[i])
+		c.v[i] = mat.Dot(fwd, fwd)
+		s.aChol.SolveVecTo(c.w[i], c.km[i])
+	}
 	c.stale = false
 }
 
@@ -189,15 +184,13 @@ func (c *SparseScoringCache) extendAppend(z []float64, denom float64) {
 	obs.CacheExtends.Inc()
 	obs.ModelCacheOps.Inc(obs.ModelCacheSparseExtend)
 	k := len(z)
-	mat.ParallelFor(len(c.xs), mat.ChunkFor(2*k+16), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g := mat.Dot(z, c.km[i][:k])
-			scale := g / denom
-			w := c.w[i]
-			for j := range w {
-				w[j] -= scale * z[j]
-			}
-			c.v[i] -= g * scale
+	for i := range c.xs {
+		g := mat.Dot(z, c.km[i][:k])
+		scale := g / denom
+		w := c.w[i]
+		for j := range w {
+			w[j] -= scale * z[j]
 		}
-	})
+		c.v[i] -= g * scale
+	}
 }

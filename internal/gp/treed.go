@@ -24,12 +24,10 @@ type Model interface {
 	// the variance: the form for callers that read the mean only.
 	PredictMean(xs *mat.Dense) []float64
 	// PredictInto is Predict writing into caller-owned buffers of
-	// xs.Rows() entries each, bitwise equal to Predict.
+	// xs.Rows() entries each, bitwise equal to Predict. It runs on the
+	// calling goroutine, and concurrent calls on one fitted model are
+	// safe: the form for callers that are one lane of a parallel dispatch.
 	PredictInto(xs *mat.Dense, mean, std []float64)
-	// PredictIntoSerial is PredictInto pinned to the calling goroutine (no
-	// worker-pool dispatch), bitwise equal to PredictInto: the form for
-	// callers that are themselves one lane of a parallel dispatch.
-	PredictIntoSerial(xs *mat.Dense, mean, std []float64)
 	Append(x []float64, y float64) error
 	Refit() error
 	Hyperparams() []float64
@@ -269,7 +267,12 @@ func (t *Treed) Predict(xs *mat.Dense) (mean, std []float64) {
 }
 
 // PredictInto is Predict writing into caller-owned buffers, the
-// zero-allocation form streamed pool scoring loops over.
+// zero-allocation form streamed pool scoring loops over. One growable
+// scratch pair serves every row — sized to the largest leaf seen so far, so
+// a call allocates O(distinct leaf-size increases) rather than the O(rows)
+// a per-candidate PredictOne would. Routing and the leaf models are
+// read-only during prediction, so concurrent PredictInto calls are
+// race-free.
 func (t *Treed) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if t.root == nil {
 		panic("gp: Treed.Predict before Fit")
@@ -278,20 +281,8 @@ func (t *Treed) PredictInto(xs *mat.Dense, mean, std []float64) {
 	if len(mean) != m || len(std) != m {
 		panic(fmt.Sprintf("gp: PredictInto buffers %d/%d for %d rows", len(mean), len(std), m))
 	}
-	mat.ParallelFor(m, mat.ChunkFor(4*t.leafSize+16), func(lo, hi int) {
-		t.predictRange(xs, mean, std, lo, hi)
-	})
-}
-
-// predictRange scores rows [lo, hi) with one growable scratch pair shared
-// across the whole range — scratch is sized to the largest leaf seen so
-// far, so a range allocates O(distinct leaf-size increases) rather than the
-// O(rows) a per-candidate PredictOne would. Routing and the leaf models are
-// read-only during prediction, so concurrent predictRange calls are
-// race-free.
-func (t *Treed) predictRange(xs *mat.Dense, mean, std []float64, lo, hi int) {
 	var scratch []float64
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		leaf := t.leafFor(xs.Row(i))
 		n := leaf.model.NumTrain()
 		if cap(scratch) < 2*n {
@@ -309,33 +300,16 @@ func (t *Treed) PredictMean(xs *mat.Dense) []float64 {
 		panic("gp: Treed.PredictMean before Fit")
 	}
 	mean := make([]float64, xs.Rows())
-	mat.ParallelFor(len(mean), mat.ChunkFor(34*t.leafSize+16), func(lo, hi int) {
-		var ks []float64
-		for i := lo; i < hi; i++ {
-			leaf := t.leafFor(xs.Row(i))
-			n := leaf.model.NumTrain()
-			if cap(ks) < n {
-				ks = make([]float64, n)
-			}
-			mean[i] = leaf.model.meanOneInto(xs.Row(i), ks[:n])
+	var ks []float64
+	for i := range mean {
+		leaf := t.leafFor(xs.Row(i))
+		n := leaf.model.NumTrain()
+		if cap(ks) < n {
+			ks = make([]float64, n)
 		}
-	})
+		mean[i] = leaf.model.meanOneInto(xs.Row(i), ks[:n])
+	}
 	return mean
-}
-
-// PredictIntoSerial is PredictInto pinned to the calling goroutine —
-// bitwise-equal output (each row goes through the same predictOneInto its
-// leaf's PredictOne uses), no worker-pool dispatch. See GP.PredictIntoSerial
-// for the use case and the concurrency contract.
-func (t *Treed) PredictIntoSerial(xs *mat.Dense, mean, std []float64) {
-	if t.root == nil {
-		panic("gp: Treed.Predict before Fit")
-	}
-	m := xs.Rows()
-	if len(mean) != m || len(std) != m {
-		panic(fmt.Sprintf("gp: PredictIntoSerial buffers %d/%d for %d rows", len(mean), len(std), m))
-	}
-	t.predictRange(xs, mean, std, 0, m)
 }
 
 // Append implements Model: the sample joins its covering leaf through the

@@ -83,22 +83,6 @@ func TestGramGradSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-func TestCrossSerialParallelIdentical(t *testing.T) {
-	for _, n := range []int{1, 33, 127} {
-		rng := rand.New(rand.NewSource(int64(n) + 2))
-		a := randomPoints(rng, n, 3)
-		b := randomPoints(rng, n+5, 3)
-		for _, k := range eqKernels() {
-			var serial, parallel *mat.Dense
-			withWorkers(1, func() { serial = Cross(k, a, b) })
-			withWorkers(8, func() { parallel = Cross(k, a, b) })
-			if !bitwiseEqual(serial.RawData(), parallel.RawData()) {
-				t.Fatalf("n=%d kernel=%T: parallel Cross differs from serial", n, k)
-			}
-		}
-	}
-}
-
 // The batch row evaluators use the precomputed-norms identity
 // ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x,y⟩, so they agree with the pairwise Eval
 // only to numerical accuracy — except on the diagonal, which must cancel

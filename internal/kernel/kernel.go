@@ -411,11 +411,9 @@ func sqNorm(v []float64) float64 {
 func rowSqNorms(xs *mat.Dense) []float64 {
 	n := xs.Rows()
 	norms := make([]float64, n)
-	mat.ParallelFor(n, mat.ChunkFor(2*xs.Cols()), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			norms[i] = sqNorm(xs.Row(i))
-		}
-	})
+	for i := range norms {
+		norms[i] = sqNorm(xs.Row(i))
+	}
 	return norms
 }
 
@@ -453,36 +451,32 @@ func (k *ARDRBF) scaledRows(xs *mat.Dense) (*mat.Dense, []float64, []float64) {
 	n := xs.Rows()
 	z := mat.NewDense(n, d, nil)
 	zn := make([]float64, n)
-	mat.ParallelFor(n, mat.ChunkFor(4*d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := xs.Row(i)
-			zi := z.Row(i)
-			for dd := 0; dd < d; dd++ {
-				zi[dd] = row[dd] * invL[dd]
-			}
-			zn[i] = sqNorm(zi)
+	for i := 0; i < n; i++ {
+		row := xs.Row(i)
+		zi := z.Row(i)
+		for dd := 0; dd < d; dd++ {
+			zi[dd] = row[dd] * invL[dd]
 		}
-	})
+		zn[i] = sqNorm(zi)
+	}
 	return z, zn, invL
 }
 
-// gramChunk sizes row chunks for symmetric assembly: a row of the Gram
-// matrix costs ~32 flops per pair (one exponential dominates).
+// gramChunk sizes GramGradInto's row chunks for symmetric assembly: a row
+// of the Gram matrix costs ~32 flops per pair (one exponential dominates).
 func gramChunk(n int) int { return mat.ChunkFor(32 * (n/2 + 1)) }
 
 // Gram fills an n×n covariance matrix for the rows of x. The upper
-// triangle is assembled row-parallel through the RowEvaluator fast path,
-// then mirrored; every element is written by exactly one goroutine, so the
-// result is identical for any worker count.
+// triangle is assembled row by row through the RowEvaluator fast path,
+// then mirrored row-parallel; every element is written by exactly one
+// goroutine, so the result is identical for any worker count.
 func Gram(k Kernel, x *mat.Dense) *mat.Dense {
 	n := x.Rows()
 	g := mat.NewDense(n, n, nil)
 	ev := RowEvaluator(k, x)
-	mat.ParallelFor(n, gramChunk(n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ev(x.Row(i), i, g.Row(i)[i:])
-		}
-	})
+	for i := 0; i < n; i++ {
+		ev(x.Row(i), i, g.Row(i)[i:])
+	}
 	mirrorLower(g)
 	return g
 }
@@ -548,16 +542,14 @@ func GramGradInto(k Kernel, x, g *mat.Dense, grads []*mat.Dense) {
 	}
 }
 
-// Cross fills the m×n covariance matrix between the rows of a and b,
-// row-parallel over the rows of a.
+// Cross fills the m×n covariance matrix between the rows of a and b, one
+// RowEvaluator call per row of a.
 func Cross(k Kernel, a, b *mat.Dense) *mat.Dense {
 	m, n := a.Rows(), b.Rows()
 	g := mat.NewDense(m, n, nil)
 	ev := RowEvaluator(k, b)
-	mat.ParallelFor(m, mat.ChunkFor(32*n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ev(a.Row(i), 0, g.Row(i))
-		}
-	})
+	for i := 0; i < m; i++ {
+		ev(a.Row(i), 0, g.Row(i))
+	}
 	return g
 }

@@ -3,8 +3,8 @@ package mat
 import "fmt"
 
 // This file holds the solve kernels behind the incremental posterior cache
-// (gp.ScoringCache): a scratch-buffer variant of the blocked forward solve
-// for the one-shot prediction path, and the flat/bordered pair whose
+// (gp.ScoringCache): a scratch-buffer form of the blocked forward solve for
+// the one-shot prediction path, and the flat/bordered pair whose
 // floating-point grouping is the cache's bitwise-replay contract.
 //
 // The contract: ForwardSolveFlatTo applies plain row-by-row forward
@@ -15,18 +15,16 @@ import "fmt"
 // the factor grows — which is what lets a cache rebuilt at checkpoint-resume
 // time agree bitwise with one maintained incrementally across appends.
 
-// ForwardSolveVecToSerial solves L y = b into dst without allocating,
-// pinned to the calling goroutine: the same blocked sweep and adot
-// groupings as ForwardSolveVec, so the result is bitwise-identical. dst
-// and b must both have length Size; dst may alias b. Per-candidate solves
-// that already run inside an outer ParallelFor (the prediction hot path)
-// use it so the inner solve never pays a nested dispatch allocation.
-func (c *Cholesky) ForwardSolveVecToSerial(dst, b []float64) {
+// ForwardSolveVecTo solves L y = b into dst without allocating: the same
+// blocked sweep and adot groupings as ForwardSolveVec, so the result is
+// bitwise-identical. dst and b must both have length Size; dst may alias b.
+// The per-candidate solves of the prediction hot path use it.
+func (c *Cholesky) ForwardSolveVecTo(dst, b []float64) {
 	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: ForwardSolveVecToSerial lengths %d/%d do not match size %d", len(dst), len(b), c.n))
+		panic(fmt.Sprintf("mat: ForwardSolveVecTo lengths %d/%d do not match size %d", len(dst), len(b), c.n))
 	}
 	copy(dst, b)
-	c.forwardBlocked(dst, false)
+	c.forwardInPlace(dst)
 }
 
 // ForwardSolveFlatTo solves L y = b into dst by unblocked forward

@@ -38,16 +38,16 @@ func TestForwardSolveVecToMatchesForwardSolveVec(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		want := ch.ForwardSolveVec(b)
-		// The serial variant must be bitwise-identical to the parallel one.
-		serial := make([]float64, n)
-		ch.ForwardSolveVecToSerial(serial, b)
+		// The scratch-buffer form must be bitwise-identical.
+		got := make([]float64, n)
+		ch.ForwardSolveVecTo(got, b)
 		for i := range want {
-			if serial[i] != want[i] {
-				t.Fatalf("n=%d: ForwardSolveVecToSerial[%d] = %g, ForwardSolveVec = %g", n, i, serial[i], want[i])
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: ForwardSolveVecTo[%d] = %g, ForwardSolveVec = %g", n, i, got[i], want[i])
 			}
 		}
 		// Aliasing dst onto b is allowed.
-		ch.ForwardSolveVecToSerial(b, b)
+		ch.ForwardSolveVecTo(b, b)
 		for i := range want {
 			if b[i] != want[i] {
 				t.Fatalf("n=%d: aliased solve diverged at %d", n, i)

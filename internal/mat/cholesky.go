@@ -202,53 +202,17 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 	return x
 }
 
-// SolveVecToSerial solves A x = b into dst on the calling goroutine, the
-// scratch-buffer form of SolveVec for per-candidate solves that already run
-// inside an outer parallel section (the sparse scoring paths). Both
-// triangular sweeps use the same blocked groupings as SolveVec, so the
-// result is bitwise identical. dst may alias b.
-func (c *Cholesky) SolveVecToSerial(dst, b []float64) {
+// SolveVecTo solves A x = b into dst without allocating, the
+// scratch-buffer form of SolveVec for per-candidate solves (the sparse
+// scoring paths). Both triangular sweeps are SolveVec's, so the result is
+// bitwise identical. dst may alias b.
+func (c *Cholesky) SolveVecTo(dst, b []float64) {
 	if len(b) != c.n || len(dst) != c.n {
-		panic(fmt.Sprintf("mat: SolveVecToSerial lengths %d/%d do not match size %d", len(dst), len(b), c.n))
+		panic(fmt.Sprintf("mat: SolveVecTo lengths %d/%d do not match size %d", len(dst), len(b), c.n))
 	}
 	copy(dst, b)
-	c.forwardBlocked(dst, false)
-	c.backwardSerial(dst)
-}
-
-// backwardSerial solves Lᵀ x = x without dispatching to the worker pool. It
-// applies the same per-element groupings as backwardInPlace's in-block
-// substitution (a strict top-down scalar recurrence per element), so serial
-// and pooled backward solves agree bitwise.
-func (c *Cholesky) backwardSerial(x []float64) {
-	n := c.n
-	if n == 0 {
-		return
-	}
-	kbStart := ((n - 1) / cholBlock) * cholBlock
-	for kb := kbStart; kb >= 0; kb -= cholBlock {
-		kend := kb + cholBlock
-		if kend > n {
-			kend = n
-		}
-		for i := kend - 1; i >= kb; i-- {
-			s := x[i]
-			for k := i + 1; k < kend; k++ {
-				s -= c.row(k)[i] * x[k]
-			}
-			x[i] = s / c.row(i)[i]
-		}
-		if kb == 0 {
-			break
-		}
-		for k := kb; k < kend; k++ {
-			rk := c.row(k)[:kb]
-			xk := x[k]
-			for j, v := range rk {
-				x[j] -= xk * v
-			}
-		}
-	}
+	c.forwardInPlace(dst)
+	c.backwardInPlace(dst)
 }
 
 // Rank1Update replaces the factorization of A with that of A + u uᵀ in
@@ -294,20 +258,11 @@ func (c *Cholesky) ForwardSolveVec(b []float64) []float64 {
 	return y
 }
 
-// forwardInPlace solves L y = y. Blocked: after the serial in-block
-// substitution, the updates to the rows below the block are independent and
-// fan out over the pool.
+// forwardInPlace solves L y = y by blocked forward substitution: the
+// in-block substitution, then one adot per row below the block. Every y[i]
+// is a fixed function of (n, cholBlock), so ForwardSolveVec, SolveVec and
+// their scratch-buffer forms agree bitwise.
 func (c *Cholesky) forwardInPlace(y []float64) {
-	c.forwardBlocked(y, true)
-}
-
-// forwardBlocked is the blocked forward substitution behind both solve
-// entry points. The parallel and serial paths compute every y[i] from the
-// same adot groupings in the same order, so they are bitwise-identical; the
-// serial path exists for per-candidate solves that already run inside an
-// outer parallel section, where a nested dispatch is pure allocation
-// overhead.
-func (c *Cholesky) forwardBlocked(y []float64, parallel bool) {
 	n := c.n
 	for kb := 0; kb < n; kb += cholBlock {
 		kend := kb + cholBlock
@@ -318,27 +273,15 @@ func (c *Cholesky) forwardBlocked(y []float64, parallel bool) {
 			ri := c.row(i)
 			y[i] = (y[i] - adot(ri[kb:i], y[kb:i])) / ri[i]
 		}
-		if kend == n {
-			break
-		}
-		if parallel {
-			bw := kend - kb
-			ParallelFor(n-kend, ChunkFor(2*bw), func(lo, hi int) {
-				for i := kend + lo; i < kend+hi; i++ {
-					y[i] -= adot(c.row(i)[kb:kend], y[kb:kend])
-				}
-			})
-		} else {
-			for i := kend; i < n; i++ {
-				y[i] -= adot(c.row(i)[kb:kend], y[kb:kend])
-			}
+		for i := kend; i < n; i++ {
+			y[i] -= adot(c.row(i)[kb:kend], y[kb:kend])
 		}
 	}
 }
 
 // backwardInPlace solves Lᵀ x = x. Blocks run from the bottom; after the
-// serial in-block substitution the remaining update is a sequence of
-// row-contiguous axpys, parallel over disjoint ranges of x.
+// in-block substitution the remaining update subtracts each solved x[k],
+// k in the block, times row k of L from x[:kb], in ascending k.
 func (c *Cholesky) backwardInPlace(x []float64) {
 	n := c.n
 	if n == 0 {
@@ -360,17 +303,13 @@ func (c *Cholesky) backwardInPlace(x []float64) {
 		if kb == 0 {
 			break
 		}
-		bw := kend - kb
-		ParallelFor(kb, ChunkFor(2*bw), func(lo, hi int) {
-			for k := kb; k < kend; k++ {
-				rk := c.row(k)[lo:hi]
-				xs := x[lo:hi]
-				xk := x[k]
-				for j, v := range rk {
-					xs[j] -= xk * v
-				}
+		for k := kb; k < kend; k++ {
+			rk := c.row(k)[:kb]
+			xk := x[k]
+			for j, v := range rk {
+				x[j] -= xk * v
 			}
-		})
+		}
 	}
 }
 

@@ -242,11 +242,10 @@ func TestCholeskyRank1Update(t *testing.T) {
 	}
 }
 
-// SolveVecToSerial must agree bitwise with the pooled SolveVec: the sparse
-// scoring cache rebuilds through the serial path inside an outer ParallelFor
-// while direct predictions may run pooled, and both must see identical
-// posterior state.
-func TestSolveVecToSerialBitwise(t *testing.T) {
+// SolveVecTo must agree bitwise with SolveVec: the sparse scoring cache
+// rebuilds through the scratch-buffer form while direct predictions
+// allocate, and both must see identical posterior state.
+func TestSolveVecToBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 5, 64, 65, 130, 200} {
 		a := randomSPD(rng, n)
@@ -257,10 +256,10 @@ func TestSolveVecToSerialBitwise(t *testing.T) {
 		b := randomVec(rng, n)
 		want := ch.SolveVec(b)
 		got := make([]float64, n)
-		ch.SolveVecToSerial(got, b)
+		ch.SolveVecTo(got, b)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d: serial solve diverges at %d: %g vs %g", n, i, got[i], want[i])
+				t.Fatalf("n=%d: SolveVecTo diverges at %d: %g vs %g", n, i, got[i], want[i])
 			}
 		}
 	}

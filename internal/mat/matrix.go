@@ -166,64 +166,56 @@ func (m *Dense) Sub(a, b *Dense) {
 // cache-sized operands.
 const mulKC = 256
 
-// Mul returns the product a*b as a new matrix. Rows of the output are
-// computed in parallel; within a row, accumulation over k is in ascending
-// order regardless of tiling or worker count, so results are deterministic.
-// The inner loop is branch-free: GP covariance operands are dense, so
-// per-element zero tests only cost pipeline stalls.
+// Mul returns the product a*b as a new matrix. Within a row, accumulation
+// over k is in ascending order regardless of tiling, so results are
+// deterministic. The inner loop is branch-free: GP covariance operands are
+// dense, so per-element zero tests only cost pipeline stalls.
 func Mul(a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := NewDense(a.rows, b.cols, nil)
-	ParallelFor(a.rows, ChunkFor(a.cols*b.cols), func(lo, hi int) {
-		for kb := 0; kb < a.cols; kb += mulKC {
-			kend := kb + mulKC
-			if kend > a.cols {
-				kend = a.cols
-			}
-			for i := lo; i < hi; i++ {
-				ai := a.data[i*a.cols : (i+1)*a.cols]
-				oi := out.data[i*out.cols : (i+1)*out.cols]
-				for k := kb; k < kend; k++ {
-					bk := b.data[k*b.cols : (k+1)*b.cols]
-					axpy(ai[k], bk, oi)
-				}
+	for kb := 0; kb < a.cols; kb += mulKC {
+		kend := kb + mulKC
+		if kend > a.cols {
+			kend = a.cols
+		}
+		for i := 0; i < a.rows; i++ {
+			ai := a.data[i*a.cols : (i+1)*a.cols]
+			oi := out.data[i*out.cols : (i+1)*out.cols]
+			for k := kb; k < kend; k++ {
+				bk := b.data[k*b.cols : (k+1)*b.cols]
+				axpy(ai[k], bk, oi)
 			}
 		}
-	})
+	}
 	return out
 }
 
-// MulVec returns the matrix-vector product m*x. Output rows are computed in
-// parallel with the unrolled deterministic dot kernel.
+// MulVec returns the matrix-vector product m*x, one unrolled deterministic
+// dot per output row.
 func (m *Dense) MulVec(x []float64) []float64 {
 	if len(x) != m.cols {
 		panic(fmt.Sprintf("mat: MulVec length %d does not match cols %d", len(x), m.cols))
 	}
 	out := make([]float64, m.rows)
-	ParallelFor(m.rows, ChunkFor(2*m.cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = adot(m.data[i*m.cols:(i+1)*m.cols], x)
-		}
-	})
+	for i := range out {
+		out[i] = adot(m.data[i*m.cols:(i+1)*m.cols], x)
+	}
 	return out
 }
 
 // MulVecT returns the product mᵀ*x without materializing the transpose.
-// Workers own disjoint column ranges of the output; each element
-// accumulates over rows in ascending order, so the result is deterministic
-// and branch-free.
+// Each output element accumulates over rows in ascending order, so the
+// result is deterministic and branch-free.
 func (m *Dense) MulVecT(x []float64) []float64 {
 	if len(x) != m.rows {
 		panic(fmt.Sprintf("mat: MulVecT length %d does not match rows %d", len(x), m.rows))
 	}
 	out := make([]float64, m.cols)
-	ParallelFor(m.cols, ChunkFor(2*m.rows), func(lo, hi int) {
-		for i := 0; i < m.rows; i++ {
-			axpy(x[i], m.data[i*m.cols+lo:i*m.cols+hi], out[lo:hi])
-		}
-	})
+	for i := 0; i < m.rows; i++ {
+		axpy(x[i], m.data[i*m.cols:(i+1)*m.cols], out)
+	}
 	return out
 }
 

@@ -28,10 +28,19 @@ import (
 //
 //  3. Deadlock freedom under nesting. The caller of ParallelFor always
 //     participates in executing its own chunks, and pool workers never block
-//     waiting for other chunks, so nested parallel sections (e.g. a parallel
-//     Predict whose per-point solves are themselves parallel-capable) cannot
+//     waiting for other chunks, so nested parallel sections (e.g. a
+//     hyperopt factorization inside a concurrent sweep item) cannot
 //     deadlock: in the worst case the inner section degrades to serial
 //     execution on the calling goroutine.
+//
+// Few call sites fan out: the exact-GP hyperopt kernels (the blocked
+// Cholesky factorization and Inverse here, kernel.GramGradInto and
+// mirrorLower, TraceMulElem through ParallelSum) and, through
+// ParallelWorkers, the streamed-pool shard lanes. Prediction, triangular
+// solves and the scoring caches are plain loops: at the repo's sizes their
+// dispatch cost ate the gain, and a campaign's remaining parallelism lives
+// one level up, in the lanes and in concurrent sweep items and daemon
+// workers.
 type parallelPool struct {
 	mu      sync.Mutex
 	tasks   chan func()

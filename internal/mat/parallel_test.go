@@ -72,37 +72,6 @@ func TestParallelSumDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMulSerialParallelIdentical(t *testing.T) {
-	for _, n := range eqSizes {
-		rng := rand.New(rand.NewSource(int64(n)))
-		a := randomDense(rng, n, n+1)
-		b := randomDense(rng, n+1, n)
-		var serial, parallel *Dense
-		withWorkers(1, func() { serial = Mul(a, b) })
-		withWorkers(8, func() { parallel = Mul(a, b) })
-		if !bitwiseEqual(serial.RawData(), parallel.RawData()) {
-			t.Fatalf("n=%d: parallel Mul differs from serial", n)
-		}
-	}
-}
-
-func TestMulVecSerialParallelIdentical(t *testing.T) {
-	for _, n := range eqSizes {
-		rng := rand.New(rand.NewSource(int64(n) + 1))
-		m := randomDense(rng, n, n)
-		x := randomVec(rng, n)
-		var serial, parallel, parallelT, serialT []float64
-		withWorkers(1, func() { serial = m.MulVec(x); serialT = m.MulVecT(x) })
-		withWorkers(8, func() { parallel = m.MulVec(x); parallelT = m.MulVecT(x) })
-		if !bitwiseEqual(serial, parallel) {
-			t.Fatalf("n=%d: parallel MulVec differs from serial", n)
-		}
-		if !bitwiseEqual(serialT, parallelT) {
-			t.Fatalf("n=%d: parallel MulVecT differs from serial", n)
-		}
-	}
-}
-
 func TestCholeskySerialParallelIdentical(t *testing.T) {
 	for _, n := range eqSizes {
 		rng := rand.New(rand.NewSource(int64(n) + 2))
@@ -155,24 +124,6 @@ func TestCholeskySerialParallelProperty(t *testing.T) {
 			return true
 		}
 		return bitwiseEqual(chS.data, chP.data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMulSerialParallelProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(120)
-		k := 1 + rng.Intn(120)
-		n := 1 + rng.Intn(120)
-		a := randomDense(rng, m, k)
-		b := randomDense(rng, k, n)
-		var s, p *Dense
-		withWorkers(1, func() { s = Mul(a, b) })
-		withWorkers(5, func() { p = Mul(a, b) })
-		return bitwiseEqual(s.RawData(), p.RawData())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
